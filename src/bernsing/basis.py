@@ -69,45 +69,73 @@ def _binom_log_row(n: int) -> np.ndarray:
     return row
 
 
-def _check_degree(n: int) -> None:
-    if n < 0 or int(n) != n:
-        raise ValueError(f"degree must be a non-negative integer, got {n!r}")
+# Values per block.  Smaller blocks lose BLAS threading in the
+# bernstein_apply product; larger ones grow the workspace.
+_BLOCK_VALUES = 1_000_000
 
 
-def _check_x(x: float) -> None:
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"abscissa must lie in [0,1], got {x!r}")
+def _check_degree(n: int, least: int = 0) -> None:
+    if n < least or int(n) != n:
+        raise ValueError(f"degree must be an integer >= {least}, got {n!r}")
 
 
-def _row_weights(n: int, x: float) -> np.ndarray:
-    """All n+1 basis values at x, float64, with the 0**0 = 1 endpoint rule."""
-    if x == 0.0 or x == 1.0:
-        w = np.zeros(n + 1)
-        w[-1 if x == 1.0 else 0] = 1.0
-        return w
-    xl = _LD(x)
-    lx = np.log(xl)
-    l1x = np.log1p(-xl)
-    k = np.arange(n + 1, dtype=_LD)
-    ex = (_binom_log_row(n) + k * lx) + (n - k) * l1x
-    return np.exp(ex.astype(np.float64))
+def _check_x(x) -> np.ndarray:
+    """x as a float64 array, every entry in [0,1] (NaN is rejected)."""
+    xs = np.asarray(x, dtype=float)
+    bad = xs[~((xs >= 0.0) & (xs <= 1.0))]
+    if bad.size:
+        raise ValueError(f"abscissa must lie in [0,1], got {bad.flat[0]!r}")
+    return xs
 
 
-def _window_weights(n: int, klo: int, khi: int, x: float) -> np.ndarray:
-    """Basis values for the index slice klo..khi only (asymptotically
-    cheaper than a full row when the window is O(sqrt(n)) wide)."""
-    if x == 0.0 or x == 1.0:
-        w = np.zeros(khi - klo + 1)
-        hot = 0 if x == 0.0 else n
-        if klo <= hot <= khi:
-            w[hot - klo] = 1.0
-        return w
-    xl = _LD(x)
-    lx = np.log(xl)
-    l1x = np.log1p(-xl)
+def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
+    """Yield (rows, block) with block[i, j] = p_{n, klo+j}(x[rows][i]).
+
+    x is a 1-d float64 array in [0,1].  Rows come _BLOCK_VALUES values
+    at a time, and every block is written into one workspace, so a block
+    is only valid until the next one is requested.  With 0**0 = 1 the
+    rows at x = 0 and x = 1 are unit vectors (zero outside the index
+    window).
+    """
+    khi = n if khi is None else khi
     k = np.arange(klo, khi + 1, dtype=_LD)
-    ex = (_binom_log_row(n)[klo : khi + 1] + k * lx) + (n - k) * l1x
-    return np.exp(ex.astype(np.float64))
+    nk = n - k
+    lrow = _binom_log_row(n)[klo : khi + 1]
+    step = max(1, _BLOCK_VALUES // k.size)
+    m = min(step, x.size)
+    ex = np.empty((m, k.size), dtype=_LD)
+    tmp = np.empty_like(ex)
+    out = np.empty((m, k.size))
+    for a in range(0, x.size, step):
+        rows = slice(a, min(a + step, x.size))
+        xb = x[rows]
+        e, t, o = ex[: xb.size], tmp[: xb.size], out[: xb.size]
+        xl = xb.astype(_LD)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(np.log(xl)[:, None], k, out=e)
+            np.add(lrow, e, out=e)
+            np.multiply(np.log1p(-xl)[:, None], nk, out=t)
+            np.add(e, t, out=e)
+        o[...] = e
+        np.exp(o, out=o)
+        # the log-space form leaves 0 * -inf = NaN where 0**0 = 1 is
+        # meant; every other entry of an endpoint row is exp(-inf) = 0
+        if klo == 0:
+            o[xb == 0.0, 0] = 1.0
+        if khi == n:
+            o[xb == 1.0, -1] = 1.0
+        yield rows, o
+
+
+def _row(n: int, x: float, klo: int = 0, khi: int | None = None) -> np.ndarray:
+    """p_{n,k}(x) for k = klo..khi at one abscissa."""
+    return next(_blocks(n, _check_x([x]), klo, khi))[1][0]
+
+
+def _inverse_weights(n: int, u: float, v: float) -> np.ndarray:
+    """(k/n)^-u (1-k/n)^-v for the interior indices k = 1..n-1."""
+    t = np.arange(1, n, dtype=float) / n
+    return t**-u * (1.0 - t) ** -v
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,95 +152,51 @@ def basis_value(n: int, k: int, x: float) -> float:
     _check_degree(n)
     if not 0 <= k <= n:
         raise ValueError(f"index k={k} outside 0..{n}")
-    _check_x(x)
-    if x == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if x == 1.0:
-        return 1.0 if k == n else 0.0
-    xl = _LD(x)
-    kl = _LD(k)
-    ex = (_binom_log_row(n)[k] + kl * np.log(xl)) + (n - kl) * np.log1p(-xl)
-    return float(np.exp(np.float64(ex)))
+    return float(_row(n, x, k, k)[0])
 
 
 def basis_row(n: int, x: float) -> BasisRow:
     """All basis values at x as a BasisRow (non-negative, sums to 1)."""
-    _check_degree(n)
-    if n < 1:
-        raise ValueError("basis_row needs n >= 1")
-    _check_x(x)
-    w = _row_weights(n, x)
+    _check_degree(n, 1)
+    w = _row(n, x)
     w.flags.writeable = False
     return BasisRow(n=n, x=x, weights=w)
-
-
-def _apply_many(samples: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    n = samples.size - 1
-    out = np.empty(xs.size)
-    at0 = xs == 0.0
-    at1 = xs == 1.0
-    out[at0] = samples[0]
-    out[at1] = samples[-1]
-    interior = ~(at0 | at1)
-    idx = np.flatnonzero(interior)
-    if idx.size == 0:
-        return out
-    lrow = _binom_log_row(n)
-    k = np.arange(n + 1, dtype=_LD)
-    nk = _LD(n) - k
-    chunk = max(1, 1_000_000 // (n + 1))
-    for a in range(0, idx.size, chunk):
-        sel = idx[a : a + chunk]
-        xl = xs[sel].astype(_LD)
-        lx = np.log(xl)
-        l1x = np.log1p(-xl)
-        ex = (lrow[None, :] + lx[:, None] * k[None, :]) + l1x[:, None] * nk[None, :]
-        out[sel] = np.exp(ex.astype(np.float64)) @ samples
-    return out
 
 
 def bernstein_apply(samples, x):
     """Sum_k samples[k] * p_{n,k}(x) with n = len(samples) - 1.
 
-    x may be a scalar or an ndarray; the array path evaluates the basis
-    in blocks so rows are never materialised for the whole grid at once.
+    x may be a scalar or an ndarray; interior abscissae are evaluated in
+    basis blocks, so rows are never materialised for the whole grid at
+    once, and x = 0, 1 take the end samples.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("samples must be a non-empty 1-d vector")
-    if np.ndim(x) == 0:
-        _check_x(float(x))
-        return float(np.dot(_row_weights(s.size - 1, float(x)), s))
-    xs = np.asarray(x, dtype=float)
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
-        raise ValueError("abscissae must lie in [0,1]")
-    return _apply_many(s, xs.ravel()).reshape(xs.shape)
+    xs = _check_x(x)
+    flat = xs.ravel()
+    out = np.where(flat == 0.0, s[0], s[-1])
+    inner = np.flatnonzero((flat > 0.0) & (flat < 1.0))
+    for rows, block in _blocks(s.size - 1, flat[inner]):
+        out[inner[rows]] = block @ s
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def central_moment_sum(n: int, gamma: float, x: float) -> float:
     """Sum_k p_{n,k}(x) |k - n x|^gamma."""
-    _check_degree(n)
-    if n < 1:
-        raise ValueError("central_moment_sum needs n >= 1")
-    _check_x(x)
+    _check_degree(n, 1)
     if gamma < 0 and (x == 0.0 or x == 1.0):
         raise ValueError("negative gamma is undefined at x in {0,1}")
-    w = _row_weights(n, x)
     d = np.abs(np.arange(n + 1, dtype=float) - n * x)
     with np.errstate(divide="ignore"):
-        powers = d**gamma
-    return float(np.dot(w, powers))
+        return float(np.dot(_row(n, x), d**gamma))
 
 
 def inverse_moment_sum(n: int, u: float, v: float, x: float) -> float:
     """Sum over interior indices k = 1..n-1 of (k/n)^-u (1-k/n)^-v p_{n,k}(x)."""
-    _check_degree(n)
-    if n < 2:
-        raise ValueError("inverse_moment_sum needs n >= 2")
+    _check_degree(n, 2)
     if not 0.0 < x < 1.0:
         raise ValueError(f"abscissa must lie in (0,1), got {x!r}")
     if u < 0 or v < 0:
         raise ValueError("exponents u, v must be non-negative")
-    w = _row_weights(n, x)[1:n]
-    t = np.arange(1, n, dtype=float) / n
-    return float(np.dot(w, t**-u * (1.0 - t) ** -v))
+    return float(np.dot(_row(n, x, 1, n - 1), _inverse_weights(n, u, v)))

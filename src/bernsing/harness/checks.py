@@ -10,9 +10,11 @@ log-log slopes.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+
 import numpy as np
 
-from ..basis import _window_weights, central_moment_sum, inverse_moment_sum
+from ..basis import _blocks, _inverse_weights, _row
 from ..blending import TestFunction, bridge_p, fbar_d2, knots
 from ..exceptions import Degenerate, MissingExponent
 from ..moduli import ModulusConfig, quadrature_bound_ratio, modulus_curve
@@ -85,6 +87,7 @@ def sequence_verdict(ratios, max_over_min: float = MAX_OVER_MIN,
 
 
 def _window(n: int, xi: float) -> tuple[int, int]:
+    """Indices within sqrt(n) of n*xi (never empty: the span is 2 sqrt(n) >= 2)."""
     s = math.sqrt(n)
     return max(0, math.ceil(n * xi - s)), min(n, math.floor(n * xi + s))
 
@@ -93,23 +96,16 @@ def an_sum(n: int, params: WeightParams, x: float) -> float:
     """wbar(x) times the basis mass of the indices within sqrt(n) of
     n*xi (the samples the bridge replaces)."""
     klo, khi = _window(n, params.xi)
-    if klo > khi:
-        return 0.0
-    return wbar(params, x) * float(_window_weights(n, klo, khi, x).sum())
+    return wbar(params, x) * float(_row(n, x, klo, khi).sum())
 
 
 def lemma6_sum(n: int, params: WeightParams, beta: float, x: float) -> float:
     """wbar(x) * sum over the same index window of |k - n x|^beta p_{n,k}(x)."""
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0,1]")
     klo, khi = _window(n, params.xi)
-    if klo > khi:
-        return 0.0
-    w = _window_weights(n, klo, khi, x)
     d = np.abs(np.arange(klo, khi + 1, dtype=float) - n * x)
-    return wbar(params, x) * float(np.dot(w, d**beta))
+    return wbar(params, x) * float(np.dot(_row(n, x, klo, khi), d**beta))
 
 
 def error_field(f: TestFunction, n: int, params: WeightParams, grid: EvalGrid) -> np.ndarray:
@@ -263,24 +259,66 @@ def _restrict(grid: EvalGrid, lo: float, hi: float) -> np.ndarray:
     return x[(x >= lo) & (x <= hi)]
 
 
+def _per_point(fn, xs) -> np.ndarray:
+    """fn at every abscissa as a scalar call.  numpy's vectorised pow
+    can round differently from the scalar one in the last bit, and the
+    printed constants would move with it."""
+    return np.array([fn(t) for t in xs])
+
+
+def _rowdot(block: np.ndarray, weights) -> np.ndarray:
+    """block[i] . w_i for the vectors w_i that weights yields, one 1-d
+    np.dot per row.  A matrix product would sum in another order, and
+    ratios that equal 1 to within rounding (lemma 4 at gamma = 2) would
+    change their trend statistic."""
+    return np.array([np.dot(b, w) for b, w in zip(block, weights)])
+
+
+def _sweep(cfg, x, terms, window) -> list[list[float]]:
+    """Grid max per degree of every term, one sequence over
+    cfg.n_values per term.
+
+    For each n the basis block over the indices window(n) at the
+    abscissae x is built once; a term maps (n, rows, k, block) to one
+    value per block row, where rows indexes x and k holds the indices.
+    """
+    best = np.empty((len(terms), len(cfg.n_values)))
+    for j, n in enumerate(cfg.n_values):
+        klo, khi = window(n)
+        k = np.arange(klo, khi + 1, dtype=float)
+        # no block outlives the comprehension, so the workspace of
+        # degree n is freed before that of the next degree is allocated
+        best[:, j] = np.max([[term(n, rows, k, block).max() for term in terms]
+                             for rows, block in _blocks(n, x, klo, khi)], axis=0)
+    return best.tolist()
+
+
+def _ratio_lemma(name, cfg, x, terms: dict, window=lambda n: (0, n)) -> LemmaResult:
+    """Bounded-ratio verdict on the _sweep sequence of each labelled term."""
+    seqs = _sweep(cfg, x, list(terms.values()), window)
+    verdicts = [sequence_verdict(seq) for seq in seqs]
+    ok = all(good for good, _ in verdicts)
+    detail = "; ".join(f"{label} {note}" for label, (_, note) in zip(terms, verdicts))
+    return LemmaResult(name, "pass" if ok else "fail", max(map(max, seqs)), detail)
+
+
+def _moment_ratio(xs, g, e, num):
+    """Term num(x) sum_k p_{n,k}(x) |k - n x|^g / (n^e varphi(x)^g)."""
+    den = _per_point(lambda t: varphi(float(t)) ** g, xs)
+    return lambda n, rows, k, block: num[rows] * _rowdot(
+        block, (np.abs(k - n * t) ** g for t in xs[rows])) / (n ** e * den[rows])
+
+
 def _lemma1(cfg, grid) -> LemmaResult:
     xs = _restrict(grid, 0.1, 0.9)
-    worst = 0.0
-    details = []
-    ok = True
-    for u, v in ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0)):
-        seq = [
-            max(
-                inverse_moment_sum(n, u, v, float(t)) / (t**-u * (1.0 - t) ** -v)
-                for t in xs
-            )
-            for n in cfg.n_values
-        ]
-        good, note = sequence_verdict(seq)
-        ok &= good
-        worst = max(worst, max(seq))
-        details.append(f"(u={u:g},v={v:g}) {note}")
-    return LemmaResult("lemma1", "pass" if ok else "fail", worst, "; ".join(details))
+
+    def term(u, v):
+        den = _per_point(lambda t: t**-u * (1.0 - t) ** -v, xs)
+        return lambda n, rows, k, block: (
+            _rowdot(block, repeat(_inverse_weights(n, u, v))) / den[rows])
+
+    terms = {f"(u={u:g},v={v:g})": term(u, v) for u, v in ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0))}
+    return _ratio_lemma("lemma1", cfg, xs, terms, lambda n: (1, n - 1))
 
 
 def _lemma2(cfg, grid, f) -> LemmaResult:
@@ -315,30 +353,18 @@ def _lemma3(cfg) -> LemmaResult:
 
 def _lemma4(cfg, grid) -> LemmaResult:
     xs = _restrict(grid, 0.1, 0.9)
-    worst = 0.0
-    ok = True
-    details = []
-    for g in (1.0, 2.0, 3.0):
-        seq = [
-            max(
-                central_moment_sum(n, g, float(t)) / (n ** (g / 2) * varphi(float(t)) ** g)
-                for t in xs
-            )
-            for n in cfg.n_values
-        ]
-        good, note = sequence_verdict(seq)
-        ok &= good
-        worst = max(worst, max(seq))
-        details.append(f"gamma={g:g} {note}")
-    return LemmaResult("lemma4", "pass" if ok else "fail", worst, "; ".join(details))
+    one = np.ones(xs.size)
+    terms = {f"gamma={g:g}": _moment_ratio(xs, g, g / 2, one) for g in (1.0, 2.0, 3.0)}
+    return _ratio_lemma("lemma4", cfg, xs, terms)
 
 
 def _lemma5(cfg, grid) -> LemmaResult:
     if len(cfg.n_values) < 4:
         return LemmaResult("lemma5", "skip", None, "need >= 4 degrees for a slope fit")
-    seq = [
-        max(an_sum(n, cfg.params, float(t)) for t in grid.points) for n in cfg.n_values
-    ]
+    x = grid.points
+    wb = _per_point(lambda t: wbar(cfg.params, float(t)), x)
+    (seq,) = _sweep(cfg, x, [lambda n, rows, k, block: wb[rows] * block.sum(1)],
+                    lambda n: _window(n, cfg.params.xi))
     fit = fit_rate(list(zip(cfg.n_values, seq)), scale_name="n")
     bound = -cfg.params.alpha / 2.0 + 0.1
     ok = fit.fitted_slope is not None and fit.fitted_slope <= bound
@@ -353,23 +379,9 @@ def _lemma5(cfg, grid) -> LemmaResult:
 def _lemma6(cfg, grid) -> LemmaResult:
     xs = _restrict(grid, 0.1, 0.9)
     a = cfg.params.alpha
-    worst = 0.0
-    ok = True
-    details = []
-    for b in (1.0, 2.0):
-        seq = [
-            max(
-                lemma6_sum(n, cfg.params, b, float(t))
-                / (n ** ((b - a) / 2.0) * varphi(float(t)) ** b)
-                for t in xs
-            )
-            for n in cfg.n_values
-        ]
-        good, note = sequence_verdict(seq)
-        ok &= good
-        worst = max(worst, max(seq))
-        details.append(f"beta={b:g} {note}")
-    return LemmaResult("lemma6", "pass" if ok else "fail", worst, "; ".join(details))
+    wb = _per_point(lambda t: wbar(cfg.params, float(t)), xs)
+    terms = {f"beta={b:g}": _moment_ratio(xs, b, (b - a) / 2.0, wb) for b in (1.0, 2.0)}
+    return _ratio_lemma("lemma6", cfg, xs, terms, lambda n: _window(n, cfg.params.xi))
 
 
 def _w2phi_function(cfg, f) -> TestFunction:

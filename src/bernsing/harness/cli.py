@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
 
-from ..exceptions import Degenerate, InvalidDegree, MissingExponent
+from ..exceptions import Degenerate
 from ..weights import StepWeight, WeightParams
 from .checks import direct_check, error_decay, inverse_check, lemma_suite, operator_dump
 from .config import ExperimentConfig
@@ -30,46 +31,39 @@ class UsageError(Exception):
     pass
 
 
-def _parse_n(spec: str) -> tuple[int, ...]:
-    """'64:4096' -> powers-of-two sweep; a single integer is allowed."""
+# flag -> (value type, rule on the endpoints, the rule in words)
+_SWEEPS = {
+    "n": (int, lambda lo, hi: 1 <= lo <= hi and not (lo & (lo - 1) or hi & (hi - 1)),
+          "1 <= min <= max, both powers of two"),
+    "t": (float, lambda lo, hi: 0.0 < lo <= hi <= 0.25, "0 < min <= max <= 0.25"),
+}
+
+
+def _parse_sweep(flag: str, spec) -> tuple:
+    """'min:max' -> doubling ladder from min up to max; a single value
+    is allowed.  A list (from --config) is a sweep of its own entries,
+    each checked as a single value."""
+    if isinstance(spec, (list, tuple)):
+        return tuple(v for item in spec for v in _parse_sweep(flag, str(item)))
+    spec = str(spec)
+    kind, valid, rule = _SWEEPS[flag]
     try:
-        if ":" in spec:
-            lo_s, hi_s = spec.split(":", 1)
-            lo, hi = int(lo_s), int(hi_s)
-        else:
-            lo = hi = int(spec)
+        lo_s, hi_s = spec.split(":", 1) if ":" in spec else (spec, spec)
+        lo, hi = kind(lo_s), kind(hi_s)
     except ValueError as e:
-        raise UsageError(f"cannot parse --n {spec!r}: {e}") from None
-    if lo < 1 or hi < lo:
-        raise UsageError(f"--n range must satisfy 1 <= min <= max, got {spec!r}")
-    if lo & (lo - 1) or hi & (hi - 1):
-        raise UsageError(f"--n endpoints must be powers of two, got {spec!r}")
+        raise UsageError(f"cannot parse --{flag} {spec!r}: {e}") from None
+    if not valid(lo, hi):
+        raise UsageError(f"--{flag} range must satisfy {rule}, got {spec!r}")
     vals = []
-    n = lo
-    while n <= hi:
-        vals.append(n)
-        n *= 2
+    v = lo
+    while v <= hi * (1.0 + 1e-12):
+        vals.append(min(v, hi))
+        v *= 2
     return tuple(vals)
 
 
-def _parse_t(spec: str) -> tuple[float, ...]:
-    """'min:max' -> doubling ladder from min up to max; single value ok."""
-    try:
-        if ":" in spec:
-            lo_s, hi_s = spec.split(":", 1)
-            lo, hi = float(lo_s), float(hi_s)
-        else:
-            lo = hi = float(spec)
-    except ValueError as e:
-        raise UsageError(f"cannot parse --t {spec!r}: {e}") from None
-    if not 0.0 < lo <= hi or hi > 0.25:
-        raise UsageError(f"--t range must satisfy 0 < min <= max <= 0.25, got {spec!r}")
-    vals = []
-    t = lo
-    while t <= hi * (1.0 + 1e-12):
-        vals.append(min(t, hi))
-        t *= 2.0
-    return tuple(vals)
+_parse_n = functools.partial(_parse_sweep, "n")
+_parse_t = functools.partial(_parse_sweep, "t")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,14 +123,8 @@ def _experiment_config(merged: dict) -> ExperimentConfig:
         raise UsageError("--xi is required (flag or config file)")
     if merged["alpha"] is None:
         raise UsageError("--alpha is required (flag or config file)")
-    n_spec = merged["n"]
-    t_spec = merged["t"]
-    n_values = _parse_n(str(n_spec)) if not isinstance(n_spec, (list, tuple)) else tuple(
-        int(v) for v in n_spec
-    )
-    t_values = _parse_t(str(t_spec)) if not isinstance(t_spec, (list, tuple)) else tuple(
-        float(v) for v in t_spec
-    )
+    n_values = _parse_sweep("n", merged["n"])
+    t_values = _parse_sweep("t", merged["t"])
     try:
         return ExperimentConfig(
             params=WeightParams(xi=float(merged["xi"]), alpha=float(merged["alpha"])),
@@ -149,7 +137,7 @@ def _experiment_config(merged: dict) -> ExperimentConfig:
             out=merged["out"],
             fmt=str(merged["format"]),
         )
-    except (ValueError, InvalidDegree) as e:
+    except ValueError as e:
         raise UsageError(str(e)) from None
 
 
@@ -203,10 +191,10 @@ def run_cli(argv) -> int:
             ) + "\n"
             _write(text, cfg.out)
             return 0
-    except (MissingExponent, ValueError) as e:
-        if isinstance(e, Degenerate):
-            sys.stderr.write(f"check failed: {e}\n")
-            return 1
+    except Degenerate as e:
+        sys.stderr.write(f"check failed: {e}\n")
+        return 1
+    except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -52,6 +52,19 @@ class ModulusConfig:
             raise ValueError("t_values must be strictly increasing")
 
 
+def _admissible(x, off, xi, exclusion):
+    """True where the stencil x - off, x, x + off lies in [0,1] and, when
+    xi is given, x clears the exclusion tube (absolute radius
+    ``exclusion``) and the translates clear it widened to
+    REL_STEP_TUBE * off."""
+    ok = (x + off <= 1.0) & (x - off >= 0.0)
+    if xi is None:
+        return ok
+    tube = np.maximum(exclusion, REL_STEP_TUBE * off)
+    return (ok & (np.abs(x - xi) > exclusion)
+            & (np.abs(x + off - xi) > tube) & (np.abs(x - off - xi) > tube))
+
+
 def second_difference(f: TestFunction, x: float, h: float, phi_at_x: float,
                       xi: float | None = None, exclusion: float = 0.0) -> float:
     """f(x + h*phi) - 2 f(x) + f(x - h*phi).
@@ -64,12 +77,9 @@ def second_difference(f: TestFunction, x: float, h: float, phi_at_x: float,
         raise ValueError("h must be positive and phi_at_x non-negative")
     off = h * phi_at_x
     xp, xm = x + off, x - off
-    if xp > 1.0 or xm < 0.0:
-        raise Inadmissible(f"stencil {xm:.6g}..{xp:.6g} leaves [0,1]")
-    if xi is not None:
-        tube = max(exclusion, REL_STEP_TUBE * off)
-        if abs(x - xi) <= exclusion or abs(xp - xi) <= tube or abs(xm - xi) <= tube:
-            raise Inadmissible("stencil hits the exclusion tube")
+    if not _admissible(x, off, xi, exclusion):
+        raise Inadmissible(
+            f"stencil {xm:.6g}..{xp:.6g} leaves [0,1] or hits the exclusion tube")
     return float(f.eval(xp) - 2.0 * f.eval(x) + f.eval(xm))
 
 
@@ -78,19 +88,12 @@ def _weighted_diff_max(f, params, sw, grid, h):
     when every grid point is inadmissible."""
     x = grid.points
     off = h * step_weight(sw, x)
-    xp = x + off
-    xm = x - off
-    tube = np.maximum(grid.exclusion_radius, REL_STEP_TUBE * off)
-    ok = (
-        (xp <= 1.0)
-        & (xm >= 0.0)
-        & (np.abs(xp - params.xi) > tube)
-        & (np.abs(xm - params.xi) > tube)
-    )
+    ok = _admissible(x, off, params.xi, grid.exclusion_radius)
     if not ok.any():
         return None
     xa = x[ok]
-    vals = wbar(params, xa) * np.abs(f.eval(xp[ok]) - 2.0 * f.eval(xa) + f.eval(xm[ok]))
+    oa = off[ok]
+    vals = wbar(params, xa) * np.abs(f.eval(xa + oa) - 2.0 * f.eval(xa) + f.eval(xa - oa))
     if np.isnan(vals).any():
         raise ValueError(f"evaluation of {f.name or 'f'} failed in second difference")
     return float(vals.max())
@@ -101,26 +104,34 @@ def _ladder(anchor: float, h_steps: int) -> np.ndarray:
     return anchor * ratio ** np.arange(h_steps)
 
 
+def _running_sup(f, params, sw, cfg, anchors):
+    """Yield, per anchor, the grid sup over every step in the ladders of
+    the anchors so far, or None while no (h, x) pair has been
+    admissible."""
+    best = None
+    for a in anchors:
+        for h in _ladder(a, cfg.h_steps):
+            m = _weighted_diff_max(f, params, sw, cfg.x_grid, h)
+            if m is not None:
+                best = m if best is None else max(best, m)
+        yield best
+
+
 def weighted_modulus(f: TestFunction, params: WeightParams, sw: StepWeight,
                      t: float, cfg: ModulusConfig) -> float:
     """Grid sup over steps h <= t and abscissae x of
     |wbar(x) (f(x + h phi(x)) - 2 f(x) + f(x - h phi(x)))|.
 
     The h grid is the union of the geometric ladders of every anchor
-    scale <= t (plus t itself), so along cfg.t_values the h grids are
-    nested and the result is non-decreasing in t by construction.
-    Inadmissible (h, x) pairs are skipped; if every pair is
-    inadmissible the sup is undefined and Degenerate is raised.
+    scale < t and of t itself: the last entry of the modulus curve over
+    those anchors, so along cfg.t_values the result is non-decreasing
+    in t by construction.  Inadmissible (h, x) pairs are skipped; if
+    every pair is inadmissible the sup is undefined and Degenerate is
+    raised.
     """
     if not 0.0 < t <= T_MAX:
         raise ValueError(f"t must lie in (0, {T_MAX}], got {t!r}")
-    anchors = [tv for tv in cfg.t_values if tv < t] + [t]
-    hs = np.unique(np.concatenate([_ladder(a, cfg.h_steps) for a in anchors]))
-    best = None
-    for h in hs:
-        m = _weighted_diff_max(f, params, sw, cfg.x_grid, h)
-        if m is not None:
-            best = m if best is None else max(best, m)
+    *_, best = _running_sup(f, params, sw, cfg, [tv for tv in cfg.t_values if tv < t] + [t])
     if best is None:
         raise Degenerate(f"no admissible (h, x) pair at t={t!r}")
     return best
@@ -129,18 +140,13 @@ def weighted_modulus(f: TestFunction, params: WeightParams, sw: StepWeight,
 def modulus_curve(f: TestFunction, params: WeightParams, sw: StepWeight,
                   cfg: ModulusConfig) -> np.ndarray:
     """weighted_modulus at every anchor in cfg.t_values, sharing ladder
-    evaluations across anchors (each h is visited once)."""
-    out = np.empty(len(cfg.t_values))
-    best = None
-    for i, tv in enumerate(cfg.t_values):
-        for h in _ladder(tv, cfg.h_steps):
-            m = _weighted_diff_max(f, params, sw, cfg.x_grid, h)
-            if m is not None:
-                best = m if best is None else max(best, m)
+    evaluations across anchors (each ladder is visited once)."""
+    curve = []
+    for tv, best in zip(cfg.t_values, _running_sup(f, params, sw, cfg, cfg.t_values)):
         if best is None:
             raise Degenerate(f"no admissible (h, x) pair at t={tv!r}")
-        out[i] = best
-    return out
+        curve.append(best)
+    return np.array(curve)
 
 
 def k_functional_upper(f: TestFunction, params: WeightParams, sw: StepWeight,

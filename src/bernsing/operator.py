@@ -31,6 +31,8 @@ def build_operator(f: TestFunction, n: int, params: WeightParams) -> OperatorIns
     k = knots(n, params.xi)
     lattice = np.arange(n + 1) / n
     samples = fbar(f, k, lattice)
+    if not np.isfinite(samples).all():
+        raise ValueError(f"{f.name or 'f'} has non-finite spliced samples at n={n}")
     samples.flags.writeable = False
     return OperatorInstance(n=n, params=params, knots=k, fbar_samples=samples)
 

@@ -143,6 +143,30 @@ class TestBernsteinApply:
         with pytest.raises(ValueError):
             bernstein_apply([1.0, 2.0], 1.5)
 
+    def test_nan_abscissa_rejected(self):
+        samples = np.arange(5.0)
+        with pytest.raises(ValueError):
+            bernstein_apply(samples, np.array([0.25, np.nan]))
+        with pytest.raises(ValueError):
+            bernstein_apply(samples, np.nan)
+
+    def test_blocks_match_scalar_path_exactly(self):
+        # n = 4096 leaves 244 rows per basis block, so 1000 abscissae span
+        # four full blocks and a short last one, with x = 0 and x = 1 at
+        # the ends.  One-hot samples make every summation order exact:
+        # a stale workspace row or a wrong endpoint value shows as a
+        # mismatch, while matrix-vector against dot rounding cannot.
+        n = 4096
+        xs = np.linspace(0.0, 1.0, 1000)
+        for k in range(0, n + 1, 1024):
+            samples = np.zeros(n + 1)
+            samples[k] = 1.0
+            vec = bernstein_apply(samples, xs)
+            scal = np.array([bernstein_apply(samples, float(x)) for x in xs])
+            assert (vec == scal).all(), f"k={k}"
+            assert vec[0] == samples[0] and vec[-1] == samples[-1]
+            assert vec.max() > 0.0
+
 
 class TestCentralMomentSum:
     def test_frozen_examples(self):

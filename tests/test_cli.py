@@ -124,6 +124,18 @@ class TestConfigFile:
     def test_missing_config_file(self):
         assert run_cli(["lemmas", "--config", "/nonexistent.json"]) == 2
 
+    def test_malformed_n_list(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"xi": 0.5, "alpha": 1.0, "n": [64, "x"]}))
+        assert run_cli(["rates", "--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_malformed_t_list(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"xi": 0.5, "alpha": 1.0, "t": [0.01, "y"]}))
+        assert run_cli(["rates", "--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestDumpOperator:
     def test_csv_matches_library(self, params, tmp_path):

@@ -9,6 +9,9 @@ from bernsing import (
     MissingExponent,
     StepWeight,
     WeightParams,
+    central_moment_sum,
+    inverse_moment_sum,
+    varphi,
     wbar,
 )
 from bernsing.harness import (
@@ -200,6 +203,39 @@ class TestLemmaSuite:
         for r in results.values():
             if r.verdict == "pass":
                 assert r.constant is not None and math.isfinite(r.constant)
+
+
+class TestLemmaSweepsMatchScalarSums:
+    def test_bit_identical(self, sw):
+        # lemmas 1, 4, 5 and 6 evaluate one basis block per degree; the
+        # scalar sums, one abscissa at a time, must give the same bits
+        params = WeightParams(xi=0.47, alpha=0.7)
+        cfg = _cfg(params, sw, n_values=(64, 128, 256, 512), grid_density=513)
+        grid = cfg.make_grid()
+        xs = grid.points[(grid.points >= 0.1) & (grid.points <= 0.9)]
+        a = params.alpha
+
+        def expect(ratio, values):
+            seqs = [[max(ratio(n, p, float(t)) for t in xs) for n in cfg.n_values]
+                    for p in values]
+            return max(map(max, seqs)), [sequence_verdict(s)[1] for s in seqs]
+
+        results = lemma_suite(cfg)
+        cases = {
+            "lemma1": expect(lambda n, uv, t: inverse_moment_sum(n, *uv, t)
+                             / (t ** -uv[0] * (1.0 - t) ** -uv[1]),
+                             ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0))),
+            "lemma4": expect(lambda n, g, t: central_moment_sum(n, g, t)
+                             / (n ** (g / 2) * varphi(t) ** g), (1.0, 2.0, 3.0)),
+            "lemma6": expect(lambda n, b, t: lemma6_sum(n, params, b, t)
+                             / (n ** ((b - a) / 2.0) * varphi(t) ** b), (1.0, 2.0)),
+        }
+        for key, (worst, notes) in cases.items():
+            assert results[key].constant == worst, key
+            assert [d.split(" ", 1)[1] for d in results[key].detail.split("; ")] == notes
+        seq5 = [max(an_sum(n, params, float(t)) for t in grid.points) for n in cfg.n_values]
+        slope = fit_rate(list(zip(cfg.n_values, seq5)), scale_name="n").fitted_slope
+        assert results["lemma5"].constant == slope
 
 
 class TestDirectCheck:

@@ -34,6 +34,11 @@ def _bump_inside(k):
 
 
 class TestBuildOperator:
+    def test_non_finite_samples_rejected(self, params):
+        f = TestFunction(eval=lambda t: np.full(np.shape(t), np.nan), name="nan-valued")
+        with pytest.raises(ValueError, match="nan-valued"):
+            build_operator(f, 64, params)
+
     def test_affine_samples_affine(self, params):
         f = corpus("affine", params)
         op = build_operator(f, 100, params)
