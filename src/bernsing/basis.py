@@ -11,6 +11,7 @@ use ``np.longdouble``.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,6 @@ _LD = np.longdouble
 # per-entry absolute error stays at the longdouble rounding level instead
 # of growing with the table length.
 _ln_fact = np.zeros(2, dtype=_LD)
-
-# cached log-binomial rows: n -> array of ln C(n, k), k = 0..n
-_binom_rows: dict[int, np.ndarray] = {}
 
 
 def _extend_ln_fact(n: int) -> None:
@@ -58,14 +56,14 @@ def _extend_ln_fact(n: int) -> None:
     _ln_fact = out
 
 
+# The bound is a constant: the largest sweep (rates to n = 16384) uses 9 degrees.
+@functools.lru_cache(maxsize=32)
 def _binom_log_row(n: int) -> np.ndarray:
-    row = _binom_rows.get(n)
-    if row is None:
-        _extend_ln_fact(n)
-        f = _ln_fact[: n + 1]
-        row = _ln_fact[n] - f - f[::-1]
-        row.flags.writeable = False
-        _binom_rows[n] = row
+    """ln C(n, k) for k = 0..n (read-only)."""
+    _extend_ln_fact(n)
+    f = _ln_fact[: n + 1]
+    row = _ln_fact[n] - f - f[::-1]
+    row.flags.writeable = False
     return row
 
 

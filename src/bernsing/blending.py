@@ -2,12 +2,14 @@
 bridge line, and the spliced function with its exact second derivative."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .basis import _check_x
 from .exceptions import InvalidDegree, MissingDerivative
 
 __all__ = ["Knots", "TestFunction", "psi", "psi_d", "knots", "bridge_p", "fbar", "fbar_d2"]
@@ -110,18 +112,36 @@ def knots(n: int, xi: float) -> Knots:
     return Knots(n=n, x1=i1 / n, x2=i2 / n, x3=i3 / n, x4=i4 / n, i1=i1, i2=i2, i3=i3, i4=i4)
 
 
-def bridge_p(f: TestFunction, k: Knots, x):
-    """The line through (x1, f(x1)) and (x4, f(x4))."""
-    fx1 = f.eval(k.x1)
-    fx4 = f.eval(k.x4)
+def _line(k: Knots, fx1, fx4, x):
     a = (x - k.x4) / (k.x1 - k.x4)
     b = (k.x1 - x) / (k.x1 - k.x4)
     return a * fx1 + b * fx4
 
 
-def _check_domain(xs: np.ndarray) -> None:
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
-        raise ValueError("abscissae must lie in [0,1]")
+def bridge_p(f: TestFunction, k: Knots, x):
+    """The line through (x1, f(x1)) and (x4, f(x4))."""
+    return _line(k, f.eval(k.x1), f.eval(k.x4), x)
+
+
+def _zones(f: TestFunction, k: Knots, x) -> tuple:
+    """The zone table of the spliced function at x: x as an array, the
+    masks of the outer zone (f itself) and of the bridge zone (the
+    line), one (mask, start, end, f_first) per blend zone, where the
+    switch psi((t - start)/(end - start)) runs from f to the line when
+    f_first and from the line to f otherwise, and the bridge line and
+    its slope, from one evaluation of f at x1 and one at x4."""
+    xs = np.atleast_1d(_check_x(x))
+    fx1 = f.eval(k.x1)
+    fx4 = f.eval(k.x4)
+    blends = (((xs > k.x1) & (xs < k.x2), k.x1, k.x2, True),
+              ((xs > k.x3) & (xs < k.x4), k.x3, k.x4, False))
+    return (xs, (xs <= k.x1) | (xs >= k.x4), (xs >= k.x2) & (xs <= k.x3), blends,
+            functools.partial(_line, k, fx1, fx4), (fx4 - fx1) / (k.x4 - k.x1))
+
+
+def _ends(f_side, line_side, f_first: bool) -> tuple:
+    """(value where the switch is 0, value where it is 1)."""
+    return (f_side, line_side) if f_first else (line_side, f_side)
 
 
 def fbar(f: TestFunction, k: Knots, x):
@@ -130,71 +150,45 @@ def fbar(f: TestFunction, k: Knots, x):
     transition zones.  f is never evaluated strictly inside (x2,x3),
     and on [0,x1] u [x4,1] the value is f(x) through the identical
     evaluation path (bit-exact)."""
-    scalar, xs = _as_array(x)
-    _check_domain(xs)
+    xs, outer, bridge, blends, line, _ = _zones(f, k, x)
     out = np.empty_like(xs)
-    outer = (xs <= k.x1) | (xs >= k.x4)
-    bridge = (xs >= k.x2) & (xs <= k.x3)
-    b1 = (xs > k.x1) & (xs < k.x2)
-    b2 = (xs > k.x3) & (xs < k.x4)
-    if outer.any():
-        out[outer] = f.eval(xs[outer])
-    if bridge.any():
-        out[bridge] = bridge_p(f, k, xs[bridge])
-    if b1.any():
-        t = xs[b1]
-        w = psi((t - k.x1) / (k.x2 - k.x1))
-        out[b1] = f.eval(t) * (1.0 - w) + w * bridge_p(f, k, t)
-    if b2.any():
-        t = xs[b2]
-        w = psi((t - k.x3) / (k.x4 - k.x3))
-        out[b2] = bridge_p(f, k, t) * (1.0 - w) + w * f.eval(t)
-    return float(out[0]) if scalar else out
+    out[outer] = f.eval(xs[outer])
+    out[bridge] = line(xs[bridge])
+    for sel, a, b, f_first in blends:
+        t = xs[sel]
+        w = psi((t - a) / (b - a))
+        lo, hi = _ends(f.eval(t), line(t), f_first)
+        out[sel] = lo * (1.0 - w) + w * hi
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def fbar_d2(f: TestFunction, k: Knots, x):
     """Exact second derivative of the spliced function.
 
     Outer intervals: f''.  Bridge: 0.  Blend zones: the product-rule
-    expansion psi'' * (f - P) + 2 psi' * (f - P)' + psi * f'' with the
-    chain-rule factors 1/(x2-x1) or 1/(x4-x3), oriented so the switch
-    runs from the bridge side to the f side.  Kept symbolic so checks
-    of the weighted second-derivative norm are free of differencing
-    noise near the knots.
+    expansion of lo (1 - psi) + psi hi, that is
+    psi'' * (hi - lo) + 2 psi' * (hi - lo)' + lo'' (1 - psi) + psi hi'',
+    with the chain-rule factor 1/(x2-x1) or 1/(x4-x3), where lo and hi
+    are f and the bridge line in the order the switch runs.  Kept
+    symbolic so checks of the weighted second-derivative norm are free
+    of differencing noise near the knots.
     """
     if f.d1 is None or f.d2 is None:
         raise MissingDerivative(f"fbar_d2 needs d1 and d2 on {f.name or 'f'}")
-    scalar, xs = _as_array(x)
-    _check_domain(xs)
-    fx1 = f.eval(k.x1)
-    fx4 = f.eval(k.x4)
-    p_slope = (fx4 - fx1) / (k.x4 - k.x1)
+    xs, outer, _, blends, line, slope = _zones(f, k, x)
     out = np.zeros_like(xs)
-    outer = (xs <= k.x1) | (xs >= k.x4)
-    b1 = (xs > k.x1) & (xs < k.x2)
-    b2 = (xs > k.x3) & (xs < k.x4)
-    if outer.any():
-        out[outer] = f.d2(xs[outer])
-    if b1.any():
-        t = xs[b1]
-        c = 1.0 / (k.x2 - k.x1)
-        u = (t - k.x1) * c
-        diff = bridge_p(f, k, t) - f.eval(t)
-        diff1 = p_slope - f.d1(t)
-        out[b1] = (
-            psi_d(u, 2) * c * c * diff
-            + 2.0 * psi_d(u, 1) * c * diff1
-            + (1.0 - psi(u)) * f.d2(t)
+    out[outer] = f.d2(xs[outer])
+    for sel, a, b, f_first in blends:
+        t = xs[sel]
+        c = 1.0 / (b - a)
+        u = (t - a) * c
+        w = psi(u)
+        lo, hi = _ends(f.eval(t), line(t), f_first)
+        lo1, hi1 = _ends(f.d1(t), slope, f_first)
+        lo2, hi2 = _ends(f.d2(t), 0.0, f_first)
+        out[sel] = (
+            psi_d(u, 2) * c * c * (hi - lo)
+            + 2.0 * psi_d(u, 1) * c * (hi1 - lo1)
+            + (lo2 * (1.0 - w) + w * hi2)
         )
-    if b2.any():
-        t = xs[b2]
-        c = 1.0 / (k.x4 - k.x3)
-        u = (t - k.x3) * c
-        diff = f.eval(t) - bridge_p(f, k, t)
-        diff1 = f.d1(t) - p_slope
-        out[b2] = (
-            psi_d(u, 2) * c * c * diff
-            + 2.0 * psi_d(u, 1) * c * diff1
-            + psi(u) * f.d2(t)
-        )
-    return float(out[0]) if scalar else out
+    return float(out[0]) if np.ndim(x) == 0 else out

@@ -274,9 +274,9 @@ def _rowdot(block: np.ndarray, weights) -> np.ndarray:
     return np.array([np.dot(b, w) for b, w in zip(block, weights)])
 
 
-def _sweep(cfg, x, terms, window) -> list[list[float]]:
-    """Grid max per degree of every term, one sequence over
-    cfg.n_values per term.
+def _sweep(cfg, x, terms: dict, window=lambda n: (0, n)) -> dict:
+    """Grid max per degree of every labelled term, one sequence over
+    cfg.n_values per label.
 
     For each n the basis block over the indices window(n) at the
     abscissae x is built once; a term maps (n, rows, k, block) to one
@@ -288,18 +288,18 @@ def _sweep(cfg, x, terms, window) -> list[list[float]]:
         k = np.arange(klo, khi + 1, dtype=float)
         # no block outlives the comprehension, so the workspace of
         # degree n is freed before that of the next degree is allocated
-        best[:, j] = np.max([[term(n, rows, k, block).max() for term in terms]
+        best[:, j] = np.max([[term(n, rows, k, block).max() for term in terms.values()]
                              for rows, block in _blocks(n, x, klo, khi)], axis=0)
-    return best.tolist()
+    return dict(zip(terms, best.tolist()))
 
 
-def _ratio_lemma(name, cfg, x, terms: dict, window=lambda n: (0, n)) -> LemmaResult:
-    """Bounded-ratio verdict on the _sweep sequence of each labelled term."""
-    seqs = _sweep(cfg, x, list(terms.values()), window)
-    verdicts = [sequence_verdict(seq) for seq in seqs]
+def _verdict(name: str, seqs: dict) -> LemmaResult:
+    """Bounded-ratio verdict on every labelled sequence; the constant is
+    the worst ratio of all of them."""
+    verdicts = [sequence_verdict(seq) for seq in seqs.values()]
     ok = all(good for good, _ in verdicts)
-    detail = "; ".join(f"{label} {note}" for label, (_, note) in zip(terms, verdicts))
-    return LemmaResult(name, "pass" if ok else "fail", max(map(max, seqs)), detail)
+    detail = "; ".join(f"{label} {note}" for label, (_, note) in zip(seqs, verdicts))
+    return LemmaResult(name, "pass" if ok else "fail", max(map(max, seqs.values())), detail)
 
 
 def _moment_ratio(xs, g, e, num):
@@ -318,7 +318,7 @@ def _lemma1(cfg, grid) -> LemmaResult:
             _rowdot(block, repeat(_inverse_weights(n, u, v))) / den[rows])
 
     terms = {f"(u={u:g},v={v:g})": term(u, v) for u, v in ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0))}
-    return _ratio_lemma("lemma1", cfg, xs, terms, lambda n: (1, n - 1))
+    return _verdict("lemma1", _sweep(cfg, xs, terms, lambda n: (1, n - 1)))
 
 
 def _lemma2(cfg, grid, f) -> LemmaResult:
@@ -329,13 +329,10 @@ def _lemma2(cfg, grid, f) -> LemmaResult:
     for n in cfg.n_values:
         op = build_operator(f, n, cfg.params)
         seq.append(float(np.max(w * np.abs(bbar_apply(op, x)))) / nwf)
-    good, note = sequence_verdict(seq)
-    return LemmaResult("lemma2", "pass" if good else "fail", max(seq), f"{f.name}: {note}")
+    return _verdict("lemma2", {f"{f.name}:": seq})
 
 
 def _lemma3(cfg) -> LemmaResult:
-    if not cfg.sw.theorem_admissible:
-        return LemmaResult("lemma3", "skip", None, "min(beta0, beta1) >= 1/2 violated")
     t_values = (0.125, 0.0625, 0.03125)
     seq = []
     for t in t_values:
@@ -346,16 +343,14 @@ def _lemma3(cfg) -> LemmaResult:
         )
         xs = [x for x in xs if t < x < 1.0 - t]
         seq.append(max(quadrature_bound_ratio(cfg.sw, t, x) for x in xs))
-    good, note = sequence_verdict(seq)
-    return LemmaResult("lemma3", "pass" if good else "fail", max(seq),
-                       f"t in {t_values}: {note}")
+    return _verdict("lemma3", {f"t in {t_values}:": seq})
 
 
 def _lemma4(cfg, grid) -> LemmaResult:
     xs = _restrict(grid, 0.1, 0.9)
     one = np.ones(xs.size)
     terms = {f"gamma={g:g}": _moment_ratio(xs, g, g / 2, one) for g in (1.0, 2.0, 3.0)}
-    return _ratio_lemma("lemma4", cfg, xs, terms)
+    return _verdict("lemma4", _sweep(cfg, xs, terms))
 
 
 def _lemma5(cfg, grid) -> LemmaResult:
@@ -363,8 +358,8 @@ def _lemma5(cfg, grid) -> LemmaResult:
         return LemmaResult("lemma5", "skip", None, "need >= 4 degrees for a slope fit")
     x = grid.points
     wb = _per_point(lambda t: wbar(cfg.params, float(t)), x)
-    (seq,) = _sweep(cfg, x, [lambda n, rows, k, block: wb[rows] * block.sum(1)],
-                    lambda n: _window(n, cfg.params.xi))
+    seq = _sweep(cfg, x, {"mass": lambda n, rows, k, block: wb[rows] * block.sum(1)},
+                 lambda n: _window(n, cfg.params.xi))["mass"]
     fit = fit_rate(list(zip(cfg.n_values, seq)), scale_name="n")
     bound = -cfg.params.alpha / 2.0 + 0.1
     ok = fit.fitted_slope is not None and fit.fitted_slope <= bound
@@ -381,47 +376,28 @@ def _lemma6(cfg, grid) -> LemmaResult:
     a = cfg.params.alpha
     wb = _per_point(lambda t: wbar(cfg.params, float(t)), xs)
     terms = {f"beta={b:g}": _moment_ratio(xs, b, (b - a) / 2.0, wb) for b in (1.0, 2.0)}
-    return _ratio_lemma("lemma6", cfg, xs, terms, lambda n: _window(n, cfg.params.xi))
+    return _verdict("lemma6", _sweep(cfg, xs, terms, lambda n: _window(n, cfg.params.xi)))
 
 
-def _w2phi_function(cfg, f) -> TestFunction:
-    if f.in_w2phi and f.d2 is not None:
-        return f
-    return corpus("quadratic", cfg.params)
-
-
-def _lemma7(cfg, grid, f) -> LemmaResult:
-    if not cfg.sw.theorem_admissible:
-        return LemmaResult("lemma7", "skip", None, "min(beta0, beta1) >= 1/2 violated")
-    g = _w2phi_function(cfg, f)
+def _lemmas78(cfg, grid, f) -> tuple[LemmaResult, LemmaResult]:
+    """Lemma 7 (weighted bridge error on [x1, x4] against the squared
+    local scale) and lemma 8 (weighted curvature of the spliced
+    function), both relative to the weighted second-derivative norm of
+    a function in W2phi, over one pass of the degree sweep."""
+    g = f if f.in_w2phi and f.d2 is not None else corpus("quadratic", cfg.params)
     x = grid.points
-    d2norm = float(
-        np.max(wbar(cfg.params, x) * step_weight(cfg.sw, x) ** 2 * np.abs(g.d2(x)))
-    )
-    seq = []
+    w2 = wbar(cfg.params, x) * step_weight(cfg.sw, x) ** 2
+    d2norm = float(np.max(w2 * np.abs(g.d2(x))))
+    bridge, curvature = [], []
     for n in cfg.n_values:
         k = knots(n, cfg.params.xi)
         xz = x[(x >= k.x1) & (x <= k.x4)]
         num = wbar(cfg.params, xz) * np.abs(np.asarray(g.eval(xz), float) - bridge_p(g, k, xz))
         den = _scale_field(n, cfg.sw, xz) ** 2 * d2norm
-        seq.append(float(np.max(num / den)))
-    good, note = sequence_verdict(seq)
-    return LemmaResult("lemma7", "pass" if good else "fail", max(seq), f"{g.name}: {note}")
-
-
-def _lemma8(cfg, grid, f) -> LemmaResult:
-    if not cfg.sw.theorem_admissible:
-        return LemmaResult("lemma8", "skip", None, "min(beta0, beta1) >= 1/2 violated")
-    g = _w2phi_function(cfg, f)
-    x = grid.points
-    w2 = wbar(cfg.params, x) * step_weight(cfg.sw, x) ** 2
-    d2norm = float(np.max(w2 * np.abs(g.d2(x))))
-    seq = []
-    for n in cfg.n_values:
-        k = knots(n, cfg.params.xi)
-        seq.append(float(np.max(w2 * np.abs(fbar_d2(g, k, x)))) / d2norm)
-    good, note = sequence_verdict(seq)
-    return LemmaResult("lemma8", "pass" if good else "fail", max(seq), f"{g.name}: {note}")
+        bridge.append(float(np.max(num / den)))
+        curvature.append(float(np.max(w2 * np.abs(fbar_d2(g, k, x)))) / d2norm)
+    return (_verdict("lemma7", {f"{g.name}:": bridge}),
+            _verdict("lemma8", {f"{g.name}:": curvature}))
 
 
 def lemma_suite(cfg: ExperimentConfig) -> dict[str, LemmaResult]:
@@ -437,14 +413,18 @@ def lemma_suite(cfg: ExperimentConfig) -> dict[str, LemmaResult]:
     results = {
         "lemma1": _lemma1(cfg, grid),
         "lemma2": _lemma2(cfg, grid, f),
-        "lemma3": _lemma3(cfg),
         "lemma4": _lemma4(cfg, grid),
         "lemma5": _lemma5(cfg, grid),
         "lemma6": _lemma6(cfg, grid),
-        "lemma7": _lemma7(cfg, grid, f),
-        "lemma8": _lemma8(cfg, grid, f),
     }
-    return results
+    # lemmas 3, 7 and 8 are stated for min(beta0, beta1) >= 1/2
+    if cfg.sw.theorem_admissible:
+        results["lemma3"] = _lemma3(cfg)
+        results["lemma7"], results["lemma8"] = _lemmas78(cfg, grid, f)
+    else:
+        for name in ("lemma3", "lemma7", "lemma8"):
+            results[name] = LemmaResult(name, "skip", None, "min(beta0, beta1) >= 1/2 violated")
+    return dict(sorted(results.items()))
 
 
 def error_decay(cfg: ExperimentConfig) -> RateReport:

@@ -119,12 +119,16 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _experiment_config(merged: dict) -> ExperimentConfig:
-    if merged["xi"] is None:
-        raise UsageError("--xi is required (flag or config file)")
-    if merged["alpha"] is None:
-        raise UsageError("--alpha is required (flag or config file)")
+    for key in ("xi", "alpha"):
+        if merged[key] is None:
+            raise UsageError(f"--{key} is required (flag or config file)")
     n_values = _parse_sweep("n", merged["n"])
     t_values = _parse_sweep("t", merged["t"])
+    grid, out = merged["grid"], merged["out"]
+    if type(grid) is not int:
+        raise UsageError(f"grid must be an integer, got {grid!r}")
+    if out is not None and not isinstance(out, str):
+        raise UsageError(f"out must be a path string, got {out!r}")
     try:
         return ExperimentConfig(
             params=WeightParams(xi=float(merged["xi"]), alpha=float(merged["alpha"])),
@@ -132,9 +136,9 @@ def _experiment_config(merged: dict) -> ExperimentConfig:
             function_name=str(merged["function"]),
             n_values=n_values,
             t_values=t_values,
-            grid_density=int(merged["grid"]),
+            grid_density=grid,
             alpha0=None if merged["alpha0"] is None else float(merged["alpha0"]),
-            out=merged["out"],
+            out=out,
             fmt=str(merged["format"]),
         )
     except ValueError as e:
@@ -149,6 +153,10 @@ def _dump_to_csv(dump: dict) -> str:
     for k, s in enumerate(dump["samples"]):
         w.writerow([k, format(k / n, ".17g"), format(s, ".17g")])
     return buf.getvalue()
+
+
+def _dump_to_json(dump: dict) -> str:
+    return json.dumps(dump, sort_keys=True, indent=2) + "\n"
 
 
 def _write(text: str, out: str | None) -> None:
@@ -174,33 +182,28 @@ def run_cli(argv) -> int:
 
     try:
         if args.command == "lemmas":
-            results = lemma_suite(cfg)
-            text = lemma_results_to_csv(results) if cfg.fmt == "csv" else lemma_results_to_json(results)
-            _write(text, cfg.out)
-            return 0 if all(r.verdict != "fail" for r in results.values()) else 1
-        if args.command == "direct":
-            report = direct_check(cfg)
-        elif args.command == "inverse":
-            report = inverse_check(cfg)
-        elif args.command == "rates":
-            report = error_decay(cfg)
-        else:  # dump-operator
-            dump = operator_dump(cfg)
-            text = _dump_to_csv(dump) if cfg.fmt == "csv" else json.dumps(
-                dump, sort_keys=True, indent=2
-            ) + "\n"
-            _write(text, cfg.out)
-            return 0
+            result = lemma_suite(cfg)
+            ok = all(r.verdict != "fail" for r in result.values())
+            to_csv, to_json = lemma_results_to_csv, lemma_results_to_json
+        elif args.command == "dump-operator":
+            result, ok = operator_dump(cfg), True
+            to_csv, to_json = _dump_to_csv, _dump_to_json
+        else:
+            check = {"direct": direct_check, "inverse": inverse_check, "rates": error_decay}
+            result = check[args.command](cfg)
+            ok = result.verdict == "pass"
+            to_csv, to_json = report_to_csv, report_to_json
+        _write(to_csv(result) if cfg.fmt == "csv" else to_json(result), cfg.out)
     except Degenerate as e:
         sys.stderr.write(f"check failed: {e}\n")
         return 1
+    except OSError as e:
+        sys.stderr.write(f"error: cannot write the output: {e}\n")
+        return 2
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
-
-    text = report_to_csv(report) if cfg.fmt == "csv" else report_to_json(report)
-    _write(text, cfg.out)
-    return 0 if report.verdict == "pass" else 1
+    return 0 if ok else 1
 
 
 def main() -> None:

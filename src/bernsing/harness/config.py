@@ -24,7 +24,6 @@ class ExperimentConfig:
     n_values: tuple = DEFAULT_N_VALUES
     t_values: tuple = DEFAULT_T_VALUES
     grid_density: int = 4097
-    cluster: int = 256
     alpha0: float | None = None
     out: str | None = None
     fmt: str = "csv"
@@ -47,4 +46,4 @@ class ExperimentConfig:
             raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
 
     def make_grid(self) -> EvalGrid:
-        return refined_grid(self.params, uniform=self.grid_density, cluster=self.cluster)
+        return refined_grid(self.params, uniform=self.grid_density)

@@ -8,6 +8,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .basis import _check_x
+
 if TYPE_CHECKING:  # pragma: no cover
     from .blending import TestFunction
 
@@ -35,8 +37,8 @@ class WeightParams:
     def __post_init__(self):
         if not 0.0 < self.xi < 1.0:
             raise ValueError(f"xi must lie in (0,1), got {self.xi!r}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,9 @@ class StepWeight:
     beta1: float
 
     def __post_init__(self):
-        if self.beta0 < 0.0 or self.beta1 < 0.0:
-            raise ValueError("step-weight exponents must be non-negative")
+        if not (0.0 <= self.beta0 < math.inf and 0.0 <= self.beta1 < math.inf):
+            raise ValueError("step-weight exponents must be finite and non-negative, "
+                             f"got ({self.beta0!r}, {self.beta1!r})")
 
     @property
     def theorem_admissible(self) -> bool:
@@ -66,23 +69,16 @@ class EvalGrid:
     exclusion_radius: float
 
 
-def _domain_check(x) -> np.ndarray:
-    xs = np.asarray(x, dtype=float)
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
-        raise ValueError("abscissae must lie in [0,1]")
-    return xs
-
-
 def wbar(params: WeightParams, x):
     """|x - xi|^alpha; exactly 0 at x = xi."""
-    xs = _domain_check(x)
+    xs = _check_x(x)
     val = np.abs(xs - params.xi) ** params.alpha
     return float(val) if np.ndim(x) == 0 else val
 
 
 def step_weight(sw: StepWeight, x):
     """x^beta0 (1-x)^beta1 (with 0^0 = 1 so zero exponents are inert)."""
-    xs = _domain_check(x)
+    xs = _check_x(x)
     val = xs**sw.beta0 * (1.0 - xs) ** sw.beta1
     return float(val) if np.ndim(x) == 0 else val
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bernsing.basis import (
+    _binom_log_row,
     basis_row,
     basis_value,
     bernstein_apply,
@@ -109,6 +110,14 @@ class TestBasisRow:
             n = int(rng.integers(1, 2000))
             x = float(rng.uniform(0, 1))
             assert (basis_row(n, x).weights >= 0.0).all()
+
+
+class TestLogBinomialCache:
+    def test_bounded(self):
+        bound = _binom_log_row.cache_info().maxsize
+        for n in range(1000, 1000 + bound + 8):
+            basis_row(n, 0.3)
+        assert _binom_log_row.cache_info().currsize == bound
 
 
 class TestBernsteinApply:

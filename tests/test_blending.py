@@ -189,6 +189,10 @@ class TestFbar:
         k = knots(100, params.xi)
         with pytest.raises(ValueError):
             fbar(f, k, 1.5)
+        for fn in (fbar, fbar_d2):
+            for x in (np.nan, [0.1, np.nan, 0.9]):
+                with pytest.raises(ValueError):
+                    fn(f, k, x)
 
 
 class TestFbarD2:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,7 @@ from bernsing.harness.cli import _parse_n, _parse_t, UsageError, run_cli
 
 
 BASE = ["--xi", "0.5", "--alpha", "1", "--beta0", "0.5", "--beta1", "0.5"]
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
 class TestSweepParsing:
@@ -76,6 +78,24 @@ class TestExitCodes:
         assert code == 1
 
 
+    @pytest.mark.parametrize("command, flag, value, named", [
+        ("lemmas", "--beta0", "nan", "step-weight"),
+        ("lemmas", "--beta1", "inf", "step-weight"),
+        ("direct", "--beta1", "inf", "step-weight"),
+        ("rates", "--alpha", "inf", "alpha"),
+    ])
+    def test_non_finite_parameter(self, command, flag, value, named, capsys):
+        args = [command, "--xi", "0.5", "--alpha", "1", "--n", "64:128", flag, value]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert f"error: {named}" in err
+
+    def test_unwritable_out(self, capsys):
+        args = ["dump-operator", *BASE, "--n", "64:64", "--out", "/nonexistent/dir/x.csv"]
+        assert run_cli(args) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_rates_byte_identical(self, tmp_path):
         args = ["rates", *BASE, "--function", "inner-root", "--n", "64:512"]
@@ -83,6 +103,11 @@ class TestDeterminism:
         assert run_cli(args + ["--out", str(a)]) == 0
         assert run_cli(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_lemmas_match_reference(self, tmp_path):
+        out = tmp_path / "lemmas.csv"
+        assert run_cli(["lemmas", "--xi", "0.50", "--alpha", "1", "--out", str(out)]) == 0
+        assert out.read_bytes() == (REFERENCE / "lemma-sweep" / "xi-0.50.csv").read_bytes()
 
     def test_csv_layout(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -135,6 +160,21 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"xi": 0.5, "alpha": 1.0, "t": [0.01, "y"]}))
         assert run_cli(["rates", "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+    def test_out_must_be_a_string(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"xi": 0.5, "alpha": 1.0, "n": "64:64", "out": 7}))
+        assert run_cli(["dump-operator", "--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_grid_must_be_an_integer(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"xi": 0.5, "alpha": 1.0, "n": "64:64", "grid": 4097.9}))
+        out = tmp_path / "r.csv"
+        assert run_cli(["rates", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDumpOperator:

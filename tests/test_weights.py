@@ -31,8 +31,9 @@ class TestWeightParams:
         assert StepWeight(0.5, 2.0).theorem_admissible
         assert not StepWeight(0.4, 0.5).theorem_admissible
         assert not StepWeight(0.5, 0.0).theorem_admissible
-        with pytest.raises(ValueError):
-            StepWeight(-0.1, 0.5)
+        for bad in ((-0.1, 0.5), (math.nan, 0.5), (0.5, math.inf)):
+            with pytest.raises(ValueError):
+                StepWeight(*bad)
 
 
 class TestWbar:
@@ -52,6 +53,11 @@ class TestWbar:
     def test_domain(self):
         with pytest.raises(ValueError):
             wbar(WeightParams(0.5, 1.0), 1.2)
+        for x in (np.nan, [0.1, np.nan, 0.9]):
+            with pytest.raises(ValueError):
+                wbar(WeightParams(0.5, 1.0), x)
+            with pytest.raises(ValueError):
+                step_weight(StepWeight(0.5, 0.5), x)
 
 
 class TestStepWeight:
