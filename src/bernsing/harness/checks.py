@@ -131,13 +131,18 @@ def _scale_field(n: int, sw, x: np.ndarray) -> np.ndarray:
     return delta_n(n, x) / (math.sqrt(n) * phi)
 
 
-def _tabulated_modulus(f, params, sw, grid, scales, h_steps=12, t_points=24):
+# the modulus table behind direct_check: ladder length and scale count
+_TABLE_H_STEPS = 12
+_TABLE_T_POINTS = 24
+
+
+def _tabulated_modulus(f, params, sw, grid, scales):
     """Monotone log-log interpolant of the modulus curve covering the
     given scales (clipped into (0, 1/4])."""
     lo = max(min(float(s.min()) for s in scales) * 0.999, 1e-8)
     lo = min(lo, 0.25)
-    tt = np.geomspace(lo, 0.25, t_points)
-    cfg = ModulusConfig(x_grid=grid, t_values=tuple(tt), h_steps=h_steps)
+    tt = np.geomspace(lo, 0.25, _TABLE_T_POINTS)
+    cfg = ModulusConfig(x_grid=grid, t_values=tuple(tt), h_steps=_TABLE_H_STEPS)
     curve = modulus_curve(f, params, sw, cfg)
     lt = np.log(tt)
     lc = np.log(np.maximum(curve, 1e-300))
@@ -148,6 +153,37 @@ def _tabulated_modulus(f, params, sw, grid, scales, h_steps=12, t_points=24):
     return lookup
 
 
+def _theorem_setup(cfg: ExperimentConfig, check: str):
+    """The corpus function and the grid of a theorem check, whose
+    statement needs min(beta0, beta1) >= 1/2."""
+    if not cfg.sw.theorem_admissible:
+        raise ValueError(f"{check} needs min(beta0, beta1) >= 1/2")
+    return corpus(cfg.function_name, cfg.params, cfg.alpha0), cfg.make_grid()
+
+
+def _fit(n_values, seq) -> RateReport | None:
+    """fit_rate over the degree sweep when the sequence can be fitted
+    (at least 4 points, all positive), else None."""
+    fittable = len(seq) >= 4 and all(v > 0.0 for v in seq)
+    return fit_rate(list(zip(n_values, seq)), scale_name="n") if fittable else None
+
+
+def _report(rows, fit: RateReport | None, max_ratio: float, ok: bool,
+            tolerance: float) -> RateReport:
+    """A degree-sweep report whose slope fields are copied from fit
+    (empty without one)."""
+    return RateReport(
+        scale_name="n",
+        rows=tuple(rows),
+        fitted_slope=None if fit is None else fit.fitted_slope,
+        slope_stderr=None if fit is None else fit.slope_stderr,
+        residuals=() if fit is None else fit.residuals,
+        max_ratio=max_ratio,
+        verdict="pass" if ok else "fail",
+        tolerance=tolerance,
+    )
+
+
 def direct_check(cfg: ExperimentConfig) -> RateReport:
     """Jackson-type direction: for each degree, the grid sup of
     weighted error divided by the weighted modulus at the local scale
@@ -156,53 +192,31 @@ def direct_check(cfg: ExperimentConfig) -> RateReport:
     sides vanish are skipped, and a vanishing modulus under a
     non-vanishing error is an inconsistency reported as Degenerate.
     """
-    if not cfg.sw.theorem_admissible:
-        raise ValueError("direct_check needs min(beta0, beta1) >= 1/2")
-    f = corpus(cfg.function_name, cfg.params, cfg.alpha0)
-    grid = cfg.make_grid()
+    f, grid = _theorem_setup(cfg, "direct_check")
     x = grid.points
     scales = {n: _scale_field(n, cfg.sw, x) for n in cfg.n_values}
     lookup = _tabulated_modulus(f, cfg.params, cfg.sw, grid, list(scales.values()))
     atol = 1e-11 * max(1.0, weighted_sup_norm(f, cfg.params, grid))
     rows = []
-    ratios = []
     for n in cfg.n_values:
         err = error_field(f, n, cfg.params, grid)
         mod = lookup(scales[n])
-        live = (err > atol) | (mod > atol)
-        bad = live & (mod <= atol)
-        if bad.any():
-            i = int(np.argmax(bad))
+        live = np.flatnonzero((err > atol) | (mod > atol))
+        bad = live[mod[live] <= atol]
+        if bad.size:
             raise Degenerate(
-                f"modulus vanishes at x={x[i]!r} (n={n}) where the error does not"
+                f"modulus vanishes at x={x[bad[0]]!r} (n={n}) where the error does not"
             )
-        if live.any():
+        if live.size:
             q = err[live] / mod[live]
             i = int(np.argmax(q))
-            idx = np.flatnonzero(live)[i]
-            rows.append(RateRow(scale=float(n), measured=float(err[idx]),
-                                reference=float(mod[idx]), ratio=float(q[i])))
-            ratios.append(float(q[i]))
+            rows.append(RateRow(float(n), float(err[live[i]]), float(mod[live[i]]), float(q[i])))
         else:
-            rows.append(RateRow(scale=float(n), measured=0.0, reference=0.0, ratio=0.0))
-            ratios.append(0.0)
+            rows.append(RateRow(float(n), 0.0, 0.0, 0.0))
+    ratios = [r.ratio for r in rows]
     pos = [r for r in ratios if r > 0.0]
     ok = all(math.isfinite(r) for r in ratios) and (not pos or pos[-1] / pos[0] <= DIRECT_GROWTH)
-    slope = stderr = None
-    residuals: tuple = ()
-    if len(pos) == len(ratios) and len(pos) >= 4:
-        fit = fit_rate(list(zip(cfg.n_values, ratios)), scale_name="n")
-        slope, stderr, residuals = fit.fitted_slope, fit.slope_stderr, fit.residuals
-    return RateReport(
-        scale_name="n",
-        rows=tuple(rows),
-        fitted_slope=slope,
-        slope_stderr=stderr,
-        residuals=residuals,
-        max_ratio=max(ratios) if ratios else 0.0,
-        verdict="pass" if ok else "fail",
-        tolerance=DIRECT_GROWTH,
-    )
+    return _report(rows, _fit(cfg.n_values, ratios), max(ratios), ok, DIRECT_GROWTH)
 
 
 def inverse_check(cfg: ExperimentConfig) -> RateReport:
@@ -213,45 +227,24 @@ def inverse_check(cfg: ExperimentConfig) -> RateReport:
     degree sweep (max/min <= 4).  Rows carry the normalised error
     sequence; the slope fields carry the modulus-side fit.
     """
-    if not cfg.sw.theorem_admissible:
-        raise ValueError("inverse_check needs min(beta0, beta1) >= 1/2")
-    f = corpus(cfg.function_name, cfg.params, cfg.alpha0)
+    f, grid = _theorem_setup(cfg, "inverse_check")
     if f.alpha0 is None:
         raise MissingExponent(f"{f.name} has no nominal smoothness exponent")
     a0 = f.alpha0
-    grid = cfg.make_grid()
     x = grid.points
-    mcfg = ModulusConfig(x_grid=grid, t_values=cfg.t_values, h_steps=16)
-    curve = modulus_curve(f, cfg.params, cfg.sw, mcfg)
+    curve = modulus_curve(f, cfg.params, cfg.sw, ModulusConfig(x_grid=grid, t_values=cfg.t_values))
     fit = fit_rate(list(zip(cfg.t_values, curve)), scale_name="t")
-    s2 = fit.fitted_slope
     seq = []
     for n in cfg.n_values:
         err = error_field(f, n, cfg.params, grid)
         seq.append(float(np.max(err * _scale_field(n, cfg.sw, x) ** -a0)))
     first = seq[0]
-    rows = tuple(
-        RateRow(scale=float(n), measured=e, reference=first,
-                ratio=e / first if first > 0 else math.inf)
-        for n, e in zip(cfg.n_values, seq)
-    )
-    if min(seq) <= 0.0 or not all(map(math.isfinite, seq)):
-        bounded = False
-        spread = math.inf
-    else:
-        spread = max(seq) / min(seq)
-        bounded = spread <= MAX_OVER_MIN
-    ok = bounded and abs(s2 - a0) <= SLOPE_TOL
-    return RateReport(
-        scale_name="n",
-        rows=rows,
-        fitted_slope=s2,
-        slope_stderr=fit.slope_stderr,
-        residuals=fit.residuals,
-        max_ratio=spread,
-        verdict="pass" if ok else "fail",
-        tolerance=SLOPE_TOL,
-    )
+    rows = [RateRow(float(n), e, first, e / first if first > 0 else math.inf)
+            for n, e in zip(cfg.n_values, seq)]
+    positive = min(seq) > 0.0 and all(map(math.isfinite, seq))
+    spread = max(seq) / min(seq) if positive else math.inf
+    ok = spread <= MAX_OVER_MIN and abs(fit.fitted_slope - a0) <= SLOPE_TOL
+    return _report(rows, fit, spread, ok, SLOPE_TOL)
 
 
 def _restrict(grid: EvalGrid, lo: float, hi: float) -> np.ndarray:
@@ -433,22 +426,11 @@ def error_decay(cfg: ExperimentConfig) -> RateReport:
     f = corpus(cfg.function_name, cfg.params, cfg.alpha0)
     grid = cfg.make_grid()
     seq = [float(np.max(error_field(f, n, cfg.params, grid))) for n in cfg.n_values]
-    if len(seq) >= 4 and min(seq) > 0.0:
-        return fit_rate(list(zip(cfg.n_values, seq)), scale_name="n")
-    rows = tuple(
-        RateRow(scale=float(n), measured=e, reference=0.0, ratio=0.0)
-        for n, e in zip(cfg.n_values, seq)
-    )
-    return RateReport(
-        scale_name="n",
-        rows=rows,
-        fitted_slope=None,
-        slope_stderr=None,
-        residuals=(),
-        max_ratio=0.0,
-        verdict="pass" if all(map(math.isfinite, seq)) else "fail",
-        tolerance=0.0,
-    )
+    fit = _fit(cfg.n_values, seq)
+    if fit is not None:
+        return fit
+    rows = [RateRow(float(n), e, 0.0, 0.0) for n, e in zip(cfg.n_values, seq)]
+    return _report(rows, None, 0.0, all(map(math.isfinite, seq)), 0.0)
 
 
 def operator_dump(cfg: ExperimentConfig) -> dict:

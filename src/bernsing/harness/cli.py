@@ -7,9 +7,7 @@ Exit codes: 0 when everything passed, 1 when any check failed,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 
@@ -17,12 +15,7 @@ from ..exceptions import Degenerate
 from ..weights import StepWeight, WeightParams
 from .checks import direct_check, error_decay, inverse_check, lemma_suite, operator_dump
 from .config import ExperimentConfig
-from .rates import (
-    lemma_results_to_csv,
-    lemma_results_to_json,
-    report_to_csv,
-    report_to_json,
-)
+from .rates import _csv, lemma_results_to_csv, report_to_csv, report_to_json
 
 __all__ = ["run_cli", "main"]
 
@@ -99,38 +92,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = ("xi", "alpha", "beta0", "beta1", "function", "alpha0",
-                "n", "t", "grid", "out", "format")
-
-
 def _merge_config(args: argparse.Namespace) -> dict:
-    merged = {k: getattr(args, k) for k in _CONFIG_KEYS}
+    merged = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 overrides = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise UsageError(f"cannot read --config {args.config!r}: {e}") from None
-        unknown = set(overrides) - set(_CONFIG_KEYS)
+        if not isinstance(overrides, dict):
+            raise UsageError(f"--config {args.config!r} must hold a JSON object, "
+                             f"got {overrides!r}")
+        unknown = set(overrides) - set(merged)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         merged.update(overrides)
     return merged
 
 
-def _experiment_config(merged: dict) -> ExperimentConfig:
+def _experiment_config(merged: dict) -> tuple[ExperimentConfig, str | None, str]:
+    """The experiment, the output path (None for stdout) and the format."""
     for key in ("xi", "alpha"):
         if merged[key] is None:
             raise UsageError(f"--{key} is required (flag or config file)")
     n_values = _parse_sweep("n", merged["n"])
     t_values = _parse_sweep("t", merged["t"])
-    grid, out = merged["grid"], merged["out"]
+    grid, out, fmt = merged["grid"], merged["out"], str(merged["format"])
     if type(grid) is not int:
         raise UsageError(f"grid must be an integer, got {grid!r}")
     if out is not None and not isinstance(out, str):
         raise UsageError(f"out must be a path string, got {out!r}")
+    if fmt not in ("csv", "json"):
+        raise UsageError(f"format must be 'csv' or 'json', got {fmt!r}")
     try:
-        return ExperimentConfig(
+        cfg = ExperimentConfig(
             params=WeightParams(xi=float(merged["xi"]), alpha=float(merged["alpha"])),
             sw=StepWeight(beta0=float(merged["beta0"]), beta1=float(merged["beta1"])),
             function_name=str(merged["function"]),
@@ -138,25 +133,16 @@ def _experiment_config(merged: dict) -> ExperimentConfig:
             t_values=t_values,
             grid_density=grid,
             alpha0=None if merged["alpha0"] is None else float(merged["alpha0"]),
-            out=out,
-            fmt=str(merged["format"]),
         )
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise UsageError(str(e)) from None
+    return cfg, out, fmt
 
 
 def _dump_to_csv(dump: dict) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["k", "t", "fbar_sample"])
     n = dump["n"]
-    for k, s in enumerate(dump["samples"]):
-        w.writerow([k, format(k / n, ".17g"), format(s, ".17g")])
-    return buf.getvalue()
-
-
-def _dump_to_json(dump: dict) -> str:
-    return json.dumps(dump, sort_keys=True, indent=2) + "\n"
+    return _csv(["k", "t", "fbar_sample"],
+                ((k, k / n, s) for k, s in enumerate(dump["samples"])))
 
 
 def _write(text: str, out: str | None) -> None:
@@ -174,7 +160,7 @@ def run_cli(argv) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        cfg = _experiment_config(_merge_config(args))
+        cfg, out, fmt = _experiment_config(_merge_config(args))
     except UsageError as e:
         sys.stderr.write(f"error: {e}\n")
         parser.print_usage(sys.stderr)
@@ -184,16 +170,16 @@ def run_cli(argv) -> int:
         if args.command == "lemmas":
             result = lemma_suite(cfg)
             ok = all(r.verdict != "fail" for r in result.values())
-            to_csv, to_json = lemma_results_to_csv, lemma_results_to_json
+            to_csv = lemma_results_to_csv
         elif args.command == "dump-operator":
             result, ok = operator_dump(cfg), True
-            to_csv, to_json = _dump_to_csv, _dump_to_json
+            to_csv = _dump_to_csv
         else:
             check = {"direct": direct_check, "inverse": inverse_check, "rates": error_decay}
             result = check[args.command](cfg)
             ok = result.verdict == "pass"
-            to_csv, to_json = report_to_csv, report_to_json
-        _write(to_csv(result) if cfg.fmt == "csv" else to_json(result), cfg.out)
+            to_csv = report_to_csv
+        _write(to_csv(result) if fmt == "csv" else report_to_json(result), out)
     except Degenerate as e:
         sys.stderr.write(f"check failed: {e}\n")
         return 1

@@ -25,8 +25,6 @@ class ExperimentConfig:
     t_values: tuple = DEFAULT_T_VALUES
     grid_density: int = 4097
     alpha0: float | None = None
-    out: str | None = None
-    fmt: str = "csv"
 
     def __post_init__(self):
         if self.function_name not in CORPUS_NAMES:
@@ -42,8 +40,6 @@ class ExperimentConfig:
         ts = list(self.t_values)
         if not ts or ts != sorted(set(ts)) or ts[0] <= 0.0 or ts[-1] > 0.25:
             raise ValueError("t_values must be increasing and lie in (0, 1/4]")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
 
     def make_grid(self) -> EvalGrid:
         return refined_grid(self.params, uniform=self.grid_density)

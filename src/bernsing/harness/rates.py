@@ -5,7 +5,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ __all__ = [
     "report_to_csv",
     "report_to_json",
     "lemma_results_to_csv",
-    "lemma_results_to_json",
 ]
 
 
@@ -100,33 +99,28 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def report_to_csv(report: RateReport) -> str:
-    """Rows only, fixed column order, 17 significant digits, LF endings."""
+def _csv(header, rows) -> str:
+    """The one CSV writer: a header, then every row's fields through
+    _fmt, with LF endings."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow([report.scale_name, "measured", "reference", "ratio"])
-    for r in report.rows:
-        w.writerow([_fmt(r.scale), _fmt(r.measured), _fmt(r.reference), _fmt(r.ratio)])
+    w.writerow(header)
+    w.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
-def report_to_json(report: RateReport) -> str:
-    payload = asdict(report)
-    payload["rows"] = [asdict(r) for r in report.rows]
-    payload["residuals"] = list(report.residuals)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def report_to_csv(report: RateReport) -> str:
+    """Rows only, fixed column order, 17 significant digits."""
+    return _csv([report.scale_name, "measured", "reference", "ratio"],
+                map(astuple, report.rows))
 
 
 def lemma_results_to_csv(results: dict[str, LemmaResult]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["lemma", "verdict", "constant", "detail"])
-    for key in sorted(results):
-        r = results[key]
-        w.writerow([r.lemma, r.verdict, _fmt(r.constant), r.detail])
-    return buf.getvalue()
+    return _csv(["lemma", "verdict", "constant", "detail"],
+                (astuple(results[key]) for key in sorted(results)))
 
 
-def lemma_results_to_json(results: dict[str, LemmaResult]) -> str:
-    payload = {k: asdict(r) for k, r in results.items()}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def report_to_json(result) -> str:
+    """The one JSON writer: a rate report, a lemma table or an operator
+    dump, with every dataclass written as its fields."""
+    return json.dumps(result, default=asdict, sort_keys=True, indent=2) + "\n"

@@ -30,6 +30,9 @@ __all__ = [
 REL_STEP_TUBE = 0.25
 
 T_MAX = 0.25
+# trapezoid nodes of steklov_means and panels per axis of quadrature_bound_ratio
+_QUAD_NODES = 129
+_PANELS = 256
 
 
 @dataclass(frozen=True)
@@ -177,7 +180,7 @@ def k_functional_upper(f: TestFunction, params: WeightParams, sw: StepWeight,
 
 
 def steklov_means(f: TestFunction, params: WeightParams, sw: StepWeight,
-                  scales: Sequence[float], quad_nodes: int = 129) -> list[TestFunction]:
+                  scales: Sequence[float]) -> list[TestFunction]:
     """Double-averaging smoothers of f at the given step scales.
 
     The two-fold average over [-h phi(x)/2, h phi(x)/2]^2 collapses to a
@@ -186,10 +189,8 @@ def steklov_means(f: TestFunction, params: WeightParams, sw: StepWeight,
     [0,1].  Second derivatives come from 5-point stencils whose step
     follows the local smoothing width.
     """
-    if quad_nodes < 9 or quad_nodes % 2 == 0:
-        raise ValueError("quad_nodes must be odd and >= 9")
-    s = np.linspace(-1.0, 1.0, quad_nodes)
-    wq = np.full(quad_nodes, 2.0 / (quad_nodes - 1))
+    s = np.linspace(-1.0, 1.0, _QUAD_NODES)
+    wq = np.full(_QUAD_NODES, 2.0 / (_QUAD_NODES - 1))
     wq[0] *= 0.5
     wq[-1] *= 0.5
     wq = wq * (1.0 - np.abs(s))
@@ -220,7 +221,7 @@ def steklov_means(f: TestFunction, params: WeightParams, sw: StepWeight,
     return [make(float(h)) for h in scales]
 
 
-def quadrature_bound_ratio(sw: StepWeight, t: float, x: float, panels: int = 256) -> float:
+def quadrature_bound_ratio(sw: StepWeight, t: float, x: float) -> float:
     """Ratio of the double integral of phi^-2 over [-t/2, t/2]^2
     (composite 2-d trapezoid) to t^2 phi^-2(x), for 0 < t < 1/4 and
     t < x < 1-t.  Boundedness of this ratio over a (t, x) sweep is the
@@ -230,8 +231,8 @@ def quadrature_bound_ratio(sw: StepWeight, t: float, x: float, panels: int = 256
         raise ValueError(f"t must lie in (0, 1/4), got {t!r}")
     if not t < x < 1.0 - t:
         raise ValueError(f"x must lie in (t, 1-t), got {x!r}")
-    u = np.linspace(-t / 2.0, t / 2.0, panels + 1)
-    wu = np.full(panels + 1, t / panels)
+    u = np.linspace(-t / 2.0, t / 2.0, _PANELS + 1)
+    wu = np.full(_PANELS + 1, t / _PANELS)
     wu[0] *= 0.5
     wu[-1] *= 0.5
     y = x + u[:, None] + u[None, :]

@@ -98,18 +98,20 @@ def delta_n(n: int, x):
     return val
 
 
+_EXCLUSION_RADIUS = 1e-12
+
+
 def refined_grid(
     params: WeightParams,
     uniform: int = 4097,
     cluster: int = 256,
-    exclusion_radius: float = 1e-12,
 ) -> EvalGrid:
     """Uniform grid plus geometric clusters accumulating at xi, 0 and 1.
 
     Extrema of weighted errors concentrate at the singularity and the
     endpoints, so a quarter of the cluster budget refines each side of
     xi and each endpoint, down to distance 1e-10.  Points inside the
-    exclusion tube around xi are dropped.
+    exclusion tube around xi (radius _EXCLUSION_RADIUS) are dropped.
     """
     if uniform < 2:
         raise ValueError("uniform grid needs at least 2 points")
@@ -121,9 +123,9 @@ def refined_grid(
         parts += [params.xi - d_xi, params.xi + d_xi, d_end, 1.0 - d_end]
     pts = np.unique(np.concatenate(parts))
     pts = pts[(pts >= 0.0) & (pts <= 1.0)]
-    pts = pts[np.abs(pts - params.xi) > exclusion_radius]
+    pts = pts[np.abs(pts - params.xi) > _EXCLUSION_RADIUS]
     pts.flags.writeable = False
-    return EvalGrid(points=pts, exclusion_radius=exclusion_radius)
+    return EvalGrid(points=pts, exclusion_radius=_EXCLUSION_RADIUS)
 
 
 def weighted_sup_norm(f: "TestFunction", params: WeightParams, grid: EvalGrid) -> float:

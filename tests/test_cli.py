@@ -109,6 +109,13 @@ class TestDeterminism:
         assert run_cli(["lemmas", "--xi", "0.50", "--alpha", "1", "--out", str(out)]) == 0
         assert out.read_bytes() == (REFERENCE / "lemma-sweep" / "xi-0.50.csv").read_bytes()
 
+    def test_direct_matches_reference(self, tmp_path):
+        out = tmp_path / "direct.csv"
+        assert run_cli(["direct", "--xi", "0.50", "--alpha", "1", "--function", "inner-cusp",
+                        "--alpha0", "1.5", "--grid", "65537", "--n", "64:128",
+                        "--out", str(out)]) == 0
+        assert out.read_bytes() == (REFERENCE / "modulus-dense" / "xi-0.50.csv").read_bytes()
+
     def test_csv_layout(self, tmp_path):
         out = tmp_path / "r.csv"
         run_cli(["rates", *BASE, "--function", "inner-root", "--n", "64:512",
@@ -148,6 +155,17 @@ class TestConfigFile:
 
     def test_missing_config_file(self):
         assert run_cli(["lemmas", "--config", "/nonexistent.json"]) == 2
+
+    @pytest.mark.parametrize("content", [
+        "5", "null", "true", '"xi"',
+        '{"xi": [0.5], "alpha": 1}', '{"beta0": {}}', '{"alpha0": [1]}',
+    ])
+    def test_malformed_config(self, content, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        args = ["rates", "--xi", "0.5", "--alpha", "1", "--n", "64:64", "--config", str(cfg)]
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_malformed_n_list(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

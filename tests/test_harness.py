@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -318,7 +319,7 @@ class TestReportSerialization:
         val = float(lines[1].split(",")[1])
         assert val == pairs[0][1]
 
-    def test_json_mirrors_fields(self):
+    def test_json_mirrors_fields(self, params, sw):
         pairs = [(2.0**k, 2.0**-k) for k in range(4, 9)]
         rep = fit_rate(pairs, scale_name="n")
         payload = json.loads(report_to_json(rep))
@@ -327,6 +328,17 @@ class TestReportSerialization:
             "residuals", "max_ratio", "verdict", "tolerance",
         }
         assert payload["rows"][0]["scale"] == 16.0
+        # a lemma table and an operator dump go through the same writer
+        lemmas = {
+            "lemma1": LemmaResult("lemma1", "pass", 1.25, "ok"),
+            "lemma3": LemmaResult("lemma3", "skip", None, "hypothesis violated"),
+        }
+        dump = operator_dump(_cfg(params, sw, n_values=(64,)))
+        for result, fields in ((lemmas, {k: asdict(r) for k, r in lemmas.items()}),
+                               (dump, dump)):
+            text = report_to_json(result)
+            assert json.loads(text) == fields
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
     def test_lemma_csv(self):
         res = {
