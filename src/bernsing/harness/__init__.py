@@ -14,6 +14,6 @@ from .checks import (
     second_derivative_field,
     sequence_verdict,
 )
-from .config import DEFAULT_N_VALUES, DEFAULT_T_VALUES, FULL_N_VALUES, ExperimentConfig
+from .config import DEFAULT_N_VALUES, DEFAULT_T_VALUES, ExperimentConfig
 from .corpus import CORPUS_NAMES, corpus
 from .rates import LemmaResult, RateReport, RateRow, fit_rate

@@ -141,7 +141,8 @@ def _tabulated_modulus(f, params, sw, grid, scales):
     given scales (clipped into (0, 1/4])."""
     lo = max(min(float(s.min()) for s in scales) * 0.999, 1e-8)
     lo = min(lo, 0.25)
-    tt = np.geomspace(lo, 0.25, _TABLE_T_POINTS)
+    # every scale clipped to 1/4 leaves a one-point table
+    tt = np.unique(np.geomspace(lo, 0.25, _TABLE_T_POINTS))
     cfg = ModulusConfig(x_grid=grid, t_values=tuple(tt), h_steps=_TABLE_H_STEPS)
     curve = modulus_curve(f, params, sw, cfg)
     lt = np.log(tt)
@@ -247,11 +248,6 @@ def inverse_check(cfg: ExperimentConfig) -> RateReport:
     return _report(rows, fit, spread, ok, SLOPE_TOL)
 
 
-def _restrict(grid: EvalGrid, lo: float, hi: float) -> np.ndarray:
-    x = grid.points
-    return x[(x >= lo) & (x <= hi)]
-
-
 def _per_point(fn, xs) -> np.ndarray:
     """fn at every abscissa as a scalar call.  numpy's vectorised pow
     can round differently from the scalar one in the last bit, and the
@@ -267,22 +263,34 @@ def _rowdot(block: np.ndarray, weights) -> np.ndarray:
     return np.array([np.dot(b, w) for b, w in zip(block, weights)])
 
 
-def _sweep(cfg, x, terms: dict, window=lambda n: (0, n)) -> dict:
+def _term_max(n: int, rows: slice, block: np.ndarray, span: slice, window, term) -> float:
+    """Max of term over the block rows inside span (-inf when there are
+    none), with the columns cut to the index window(n)."""
+    lo, hi = max(rows.start, span.start), min(rows.stop, span.stop)
+    if lo >= hi:
+        return -math.inf
+    klo, khi = window(n)
+    k = np.arange(klo, khi + 1, dtype=float)
+    part = block[lo - rows.start : hi - rows.start, klo : khi + 1]
+    return term(n, slice(lo - span.start, hi - span.start), k, part).max()
+
+
+def _sweep(cfg, x, terms: dict) -> dict:
     """Grid max per degree of every labelled term, one sequence over
     cfg.n_values per label.
 
-    For each n the basis block over the indices window(n) at the
-    abscissae x is built once; a term maps (n, rows, k, block) to one
-    value per block row, where rows indexes x and k holds the indices.
+    For each n the basis block over all indices 0..n at the abscissae x
+    is built once.  A term is (span, window, fn): span is the slice of x
+    it reads, window(n) its index range, and fn maps (n, rows, k, block)
+    to one value per block row, where rows indexes x[span] and k holds
+    the indices.
     """
     best = np.empty((len(terms), len(cfg.n_values)))
     for j, n in enumerate(cfg.n_values):
-        klo, khi = window(n)
-        k = np.arange(klo, khi + 1, dtype=float)
         # no block outlives the comprehension, so the workspace of
         # degree n is freed before that of the next degree is allocated
-        best[:, j] = np.max([[term(n, rows, k, block).max() for term in terms.values()]
-                             for rows, block in _blocks(n, x, klo, khi)], axis=0)
+        best[:, j] = np.max([[_term_max(n, rows, block, *t) for t in terms.values()]
+                             for rows, block in _blocks(n, x)], axis=0)
     return dict(zip(terms, best.tolist()))
 
 
@@ -302,27 +310,41 @@ def _moment_ratio(xs, g, e, num):
         block, (np.abs(k - n * t) ** g for t in xs[rows])) / (n ** e * den[rows])
 
 
-def _lemma1(cfg, grid) -> LemmaResult:
-    xs = _restrict(grid, 0.1, 0.9)
+def _basis_lemmas(cfg, grid, f) -> dict:
+    """Lemmas 1, 2, 4, 5 and 6 from one basis sweep: their labelled
+    sequences keyed by lemma.  Lemmas 2 and 5 read the whole grid,
+    lemmas 1, 4 and 6 its points in [0.1, 0.9]."""
+    x = grid.points
+    whole = slice(0, x.size)
+    inner = slice(int(np.searchsorted(x, 0.1)), int(np.searchsorted(x, 0.9, "right")))
+    xs, a = x[inner], cfg.params.alpha
+    wb = _per_point(lambda t: wbar(cfg.params, float(t)), x)
+    w = wbar(cfg.params, x)
+    nwf = weighted_sup_norm(f, cfg.params, grid)
+    samples = {n: build_operator(f, n, cfg.params).fbar_samples for n in cfg.n_values}
 
-    def term(u, v):
+    def inverse(u, v):
         den = _per_point(lambda t: t**-u * (1.0 - t) ** -v, xs)
         return lambda n, rows, k, block: (
             _rowdot(block, repeat(_inverse_weights(n, u, v))) / den[rows])
 
-    terms = {f"(u={u:g},v={v:g})": term(u, v) for u, v in ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0))}
-    return _verdict("lemma1", _sweep(cfg, xs, terms, lambda n: (1, n - 1)))
-
-
-def _lemma2(cfg, grid, f) -> LemmaResult:
-    nwf = weighted_sup_norm(f, cfg.params, grid)
-    x = grid.points
-    w = wbar(cfg.params, x)
-    seq = []
-    for n in cfg.n_values:
-        op = build_operator(f, n, cfg.params)
-        seq.append(float(np.max(w * np.abs(bbar_apply(op, x)))) / nwf)
-    return _verdict("lemma2", {f"{f.name}:": seq})
+    # (lemma, label) -> (abscissae, index window, per-row values)
+    full, near = (lambda n: (0, n)), (lambda n: _window(n, cfg.params.xi))
+    terms = {}
+    for u, v in ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0)):
+        terms["lemma1", f"(u={u:g},v={v:g})"] = (inner, lambda n: (1, n - 1), inverse(u, v))
+    terms["lemma2", f"{f.name}:"] = (
+        whole, full, lambda n, rows, k, block: w[rows] * np.abs(block @ samples[n]) / nwf)
+    for g in (1.0, 2.0, 3.0):
+        terms["lemma4", f"gamma={g:g}"] = (
+            inner, full, _moment_ratio(xs, g, g / 2, np.ones(xs.size)))
+    terms["lemma5", "mass"] = (whole, near, lambda n, rows, k, block: wb[rows] * block.sum(1))
+    for b in (1.0, 2.0):
+        terms["lemma6", f"beta={b:g}"] = (inner, near, _moment_ratio(xs, b, (b - a) / 2, wb[inner]))
+    seqs = {}
+    for (name, label), seq in _sweep(cfg, x, terms).items():
+        seqs.setdefault(name, {})[label] = seq
+    return seqs
 
 
 def _lemma3(cfg) -> LemmaResult:
@@ -339,20 +361,10 @@ def _lemma3(cfg) -> LemmaResult:
     return _verdict("lemma3", {f"t in {t_values}:": seq})
 
 
-def _lemma4(cfg, grid) -> LemmaResult:
-    xs = _restrict(grid, 0.1, 0.9)
-    one = np.ones(xs.size)
-    terms = {f"gamma={g:g}": _moment_ratio(xs, g, g / 2, one) for g in (1.0, 2.0, 3.0)}
-    return _verdict("lemma4", _sweep(cfg, xs, terms))
-
-
-def _lemma5(cfg, grid) -> LemmaResult:
+def _lemma5(cfg, seq) -> LemmaResult:
+    """Decay verdict on the weighted window mass sequence."""
     if len(cfg.n_values) < 4:
         return LemmaResult("lemma5", "skip", None, "need >= 4 degrees for a slope fit")
-    x = grid.points
-    wb = _per_point(lambda t: wbar(cfg.params, float(t)), x)
-    seq = _sweep(cfg, x, {"mass": lambda n, rows, k, block: wb[rows] * block.sum(1)},
-                 lambda n: _window(n, cfg.params.xi))["mass"]
     fit = fit_rate(list(zip(cfg.n_values, seq)), scale_name="n")
     bound = -cfg.params.alpha / 2.0 + 0.1
     ok = fit.fitted_slope is not None and fit.fitted_slope <= bound
@@ -364,22 +376,16 @@ def _lemma5(cfg, grid) -> LemmaResult:
     )
 
 
-def _lemma6(cfg, grid) -> LemmaResult:
-    xs = _restrict(grid, 0.1, 0.9)
-    a = cfg.params.alpha
-    wb = _per_point(lambda t: wbar(cfg.params, float(t)), xs)
-    terms = {f"beta={b:g}": _moment_ratio(xs, b, (b - a) / 2.0, wb) for b in (1.0, 2.0)}
-    return _verdict("lemma6", _sweep(cfg, xs, terms, lambda n: _window(n, cfg.params.xi)))
-
-
 def _lemmas78(cfg, grid, f) -> tuple[LemmaResult, LemmaResult]:
     """Lemma 7 (weighted bridge error on [x1, x4] against the squared
     local scale) and lemma 8 (weighted curvature of the spliced
     function), both relative to the weighted second-derivative norm of
-    a function in W2phi, over one pass of the degree sweep."""
-    g = f if f.in_w2phi and f.d2 is not None else corpus("quadratic", cfg.params)
+    a function in W2phi with non-zero curvature (f, else quadratic),
+    over one pass of the degree sweep."""
     x = grid.points
     w2 = wbar(cfg.params, x) * step_weight(cfg.sw, x) ** 2
+    curved = f.in_w2phi and f.d2 is not None and np.any(w2 * f.d2(x))
+    g = f if curved else corpus("quadratic", cfg.params)
     d2norm = float(np.max(w2 * np.abs(g.d2(x))))
     bridge, curvature = [], []
     for n in cfg.n_values:
@@ -403,13 +409,9 @@ def lemma_suite(cfg: ExperimentConfig) -> dict[str, LemmaResult]:
     """
     grid = cfg.make_grid()
     f = corpus(cfg.function_name, cfg.params, cfg.alpha0)
-    results = {
-        "lemma1": _lemma1(cfg, grid),
-        "lemma2": _lemma2(cfg, grid, f),
-        "lemma4": _lemma4(cfg, grid),
-        "lemma5": _lemma5(cfg, grid),
-        "lemma6": _lemma6(cfg, grid),
-    }
+    seqs = _basis_lemmas(cfg, grid, f)
+    results = {"lemma5": _lemma5(cfg, seqs.pop("lemma5")["mass"])}
+    results.update((name, _verdict(name, s)) for name, s in seqs.items())
     # lemmas 3, 7 and 8 are stated for min(beta0, beta1) >= 1/2
     if cfg.sw.theorem_admissible:
         results["lemma3"] = _lemma3(cfg)

@@ -7,7 +7,6 @@ Exit codes: 0 when everything passed, 1 when any check failed,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -53,10 +52,6 @@ def _parse_sweep(flag: str, spec) -> tuple:
         vals.append(min(v, hi))
         v *= 2
     return tuple(vals)
-
-
-_parse_n = functools.partial(_parse_sweep, "n")
-_parse_t = functools.partial(_parse_sweep, "t")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,12 +7,10 @@ from ..blending import knots
 from ..weights import EvalGrid, StepWeight, WeightParams, refined_grid
 from .corpus import CORPUS_NAMES
 
-__all__ = ["ExperimentConfig", "DEFAULT_N_VALUES", "DEFAULT_T_VALUES", "FULL_N_VALUES"]
+__all__ = ["ExperimentConfig", "DEFAULT_N_VALUES", "DEFAULT_T_VALUES"]
 
 # Sweep on which the lemma suite is green by definition.
 DEFAULT_N_VALUES = (64, 128, 256, 512, 1024)
-# Full two-decade sweep for rate experiments.
-FULL_N_VALUES = (64, 128, 256, 512, 1024, 2048, 4096)
 DEFAULT_T_VALUES = tuple(2.0**-k for k in range(9, 2, -1))
 
 

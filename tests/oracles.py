@@ -6,6 +6,7 @@ separate from the library's evaluation paths.
 """
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -19,6 +20,20 @@ def naive_basis(n, k, x):
 
 def naive_row(n, x):
     return np.array([naive_basis(n, k, x) for k in range(n + 1)])
+
+
+def mp_row(n, x, dps=40):
+    """p_{n,k}(x) for k = 0..n as mpmath numbers with dps significant
+    digits, x taken at its exact binary value, 0 < x < 1.  The ratio
+    recurrence p_{k+1} = p_k (n-k)/(k+1) x/(1-x) loses about log10(n)
+    digits, far below the float64 level at any n used here."""
+    with mpmath.workdps(dps):
+        x = mpmath.mpf(x)
+        r = x / (1 - x)
+        row = [(1 - x) ** n]
+        for k in range(n):
+            row.append(row[-1] * (n - k) / (k + 1) * r)
+    return row
 
 
 def quintic_switch(u):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +14,7 @@ from bernsing.basis import (
 )
 from bernsing.harness.checks import sequence_verdict
 
-from oracles import naive_basis, naive_row
+from oracles import mp_row, naive_basis, naive_row
 
 
 class TestBasisValue:
@@ -175,6 +176,30 @@ class TestBernsteinApply:
             assert (vec == scal).all(), f"k={k}"
             assert vec[0] == samples[0] and vec[-1] == samples[-1]
             assert vec.max() > 0.0
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63,
+    reason="the bounds hold when the log-space exponent is assembled in 80-bit "
+    "longdouble; here longdouble is float64, which loses about 1e-12",
+)
+class TestArbitraryPrecisionOracle:
+    # the README's claims (partition of unity to ~1e-15, stable to
+    # degree 2^14) against 40-digit rows
+    @pytest.mark.parametrize("n", [4096, 16384])
+    @pytest.mark.parametrize("x", [0.013, 0.37, 0.5])
+    def test_row_sum_and_apply(self, n, x):
+        exact = mp_row(n, x)
+        row = basis_row(n, x).weights
+        samples = np.cos(0.37 * np.arange(n + 1))
+        with mpmath.workdps(40):
+            rel = max(abs(mpmath.mpf(float(w)) - p) / p
+                      for w, p in zip(row, exact) if p > 1e-300)
+            applied = mpmath.fsum(p * float(s) for p, s in zip(exact, samples))
+            apply_err = abs(bernstein_apply(samples, x) - applied)
+        assert rel <= 1e-13
+        assert abs(math.fsum(row) - 1.0) <= 1e-14
+        assert apply_err <= 1e-15
 
 
 class TestCentralMomentSum:

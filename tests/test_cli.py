@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from bernsing.harness.cli import _parse_n, _parse_t, UsageError, run_cli
+from bernsing.harness.cli import _parse_sweep, UsageError, run_cli
 
 
 BASE = ["--xi", "0.5", "--alpha", "1", "--beta0", "0.5", "--beta1", "0.5"]
@@ -12,23 +12,23 @@ REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 class TestSweepParsing:
     def test_n_range(self):
-        assert _parse_n("64:512") == (64, 128, 256, 512)
-        assert _parse_n("256") == (256,)
+        assert _parse_sweep("n", "64:512") == (64, 128, 256, 512)
+        assert _parse_sweep("n", "256") == (256,)
 
     def test_n_rejects_non_power(self):
         with pytest.raises(UsageError):
-            _parse_n("60:512")
+            _parse_sweep("n", "60:512")
         with pytest.raises(UsageError):
-            _parse_n("512:64")
+            _parse_sweep("n", "512:64")
 
     def test_t_range(self):
-        ts = _parse_t("0.001953125:0.125")
+        ts = _parse_sweep("t", "0.001953125:0.125")
         assert len(ts) == 7
         assert ts[0] == 0.001953125 and ts[-1] == 0.125
 
     def test_t_rejects_out_of_range(self):
         with pytest.raises(UsageError):
-            _parse_t("0.1:0.5")
+            _parse_sweep("t", "0.1:0.5")
 
 
 class TestExitCodes:
@@ -94,6 +94,29 @@ class TestExitCodes:
         args = ["dump-operator", *BASE, "--n", "64:64", "--out", "/nonexistent/dir/x.csv"]
         assert run_cli(args) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_direct_with_every_local_scale_clipped(self, tmp_path):
+        # with beta0 = beta1 = 2 every local scale is at least 1/4, so the
+        # modulus table has a single scale
+        out = tmp_path / "d.csv"
+        code = run_cli(["direct", "--xi", "0.5", "--alpha", "1", "--function", "smooth-bump",
+                        "--n", "64:1024", "--beta0", "2", "--beta1", "2", "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().split("\n")
+        assert lines[0] == "n,measured,reference,ratio"
+        assert len(lines) == 7  # header + 5 rows + trailing LF
+
+    def test_affine_lemmas_use_the_quadratic_witness(self, tmp_path):
+        # affine has no curvature to normalise lemmas 7 and 8 by
+        rows = {}
+        for name in ("affine", "quadratic"):
+            out = tmp_path / f"{name}.csv"
+            assert run_cli(["lemmas", *BASE, "--function", name, "--n", "64:256",
+                            "--grid", "1025", "--out", str(out)]) == 0
+            rows[name] = [line for line in out.read_text().split("\n")
+                          if line.startswith(("lemma7,", "lemma8,"))]
+        assert len(rows["affine"]) == 2
+        assert rows["affine"] == rows["quadratic"]
 
 
 class TestDeterminism:

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -10,11 +10,16 @@ from bernsing import (
     MissingExponent,
     StepWeight,
     WeightParams,
+    basis,
+    bbar_apply,
+    build_operator,
     central_moment_sum,
     inverse_moment_sum,
     varphi,
     wbar,
+    weighted_sup_norm,
 )
+from bernsing.basis import _blocks
 from bernsing.harness import (
     ExperimentConfig,
     an_sum,
@@ -30,6 +35,7 @@ from bernsing.harness import (
     operator_dump,
     sequence_verdict,
 )
+from bernsing.harness import checks
 from bernsing.harness.rates import (
     LemmaResult,
     lemma_results_to_csv,
@@ -208,8 +214,9 @@ class TestLemmaSuite:
 
 class TestLemmaSweepsMatchScalarSums:
     def test_bit_identical(self, sw):
-        # lemmas 1, 4, 5 and 6 evaluate one basis block per degree; the
-        # scalar sums, one abscissa at a time, must give the same bits
+        # lemmas 1, 2, 4, 5 and 6 evaluate one basis block per degree;
+        # the scalar sums, one abscissa at a time, and the operator
+        # applied to the whole grid must give the same bits
         params = WeightParams(xi=0.47, alpha=0.7)
         cfg = _cfg(params, sw, n_values=(64, 128, 256, 512), grid_density=513)
         grid = cfg.make_grid()
@@ -237,6 +244,35 @@ class TestLemmaSweepsMatchScalarSums:
         seq5 = [max(an_sum(n, params, float(t)) for t in grid.points) for n in cfg.n_values]
         slope = fit_rate(list(zip(cfg.n_values, seq5)), scale_name="n").fitted_slope
         assert results["lemma5"].constant == slope
+        # lemma 2's max sits at x = 1 for inner-root, inside (0, 1) for
+        # smooth-bump
+        w = wbar(params, grid.points)
+        suites = {cfg.function_name: results,
+                  "smooth-bump": lemma_suite(replace(cfg, function_name="smooth-bump"))}
+        for name, res in suites.items():
+            f = corpus(name, params)
+            nwf = weighted_sup_norm(f, params, grid)
+            seq2 = [float(np.max(w * np.abs(bbar_apply(build_operator(f, n, params), grid.points))))
+                    / nwf for n in cfg.n_values]
+            assert res["lemma2"].constant == max(seq2), name
+            assert res["lemma2"].detail == f"{name}: {sequence_verdict(seq2)[1]}"
+
+
+class TestLemmaSuiteOneSweep:
+    def test_one_basis_pass_per_degree(self, params, sw, monkeypatch):
+        # every basis evaluation of the suite, whichever module reaches
+        # the kernel through, is one block pass per degree
+        calls = []
+
+        def counting(n, x, *window):
+            calls.append(n)
+            return _blocks(n, x, *window)
+
+        monkeypatch.setattr(basis, "_blocks", counting)
+        monkeypatch.setattr(checks, "_blocks", counting)
+        cfg = _cfg(params, sw, n_values=(64, 128, 256, 512), grid_density=513)
+        lemma_suite(cfg)
+        assert calls == list(cfg.n_values)
 
 
 class TestDirectCheck:
