@@ -12,6 +12,7 @@ use ``np.longdouble``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +69,17 @@ def _binom_log_row(n: int) -> np.ndarray:
 
 
 # Values per block.  Smaller blocks lose BLAS threading in the
-# bernstein_apply product; larger ones grow the workspace.
+# bernstein_apply product; larger ones grow the workspace.  The rows per
+# block follow the full index width even though only a window of it is
+# assembled: the last bits of a bernstein_apply value depend on the
+# block shape its gemv sees.
 _BLOCK_VALUES = 1_000_000
+
+# Past |k - n x| >= _ZERO_RADIUS sqrt(n), p_{n,k}(x) <= exp(-2 (k-nx)^2 / n)
+# <= exp(-750) (Hoeffding), while float64 exp already returns exactly 0.0
+# below about -745.13; the longdouble exponent is off by ~1e-13 at most.
+# Those entries are set to 0.0 without being evaluated.
+_ZERO_RADIUS = math.sqrt(375.0)
 
 
 def _check_degree(n: int, least: int = 0) -> None:
@@ -94,6 +104,12 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
     is only valid until the next one is requested.  With 0**0 = 1 the
     rows at x = 0 and x = 1 are unit vectors (zero outside the index
     window).
+
+    Each block assembles only the columns within _ZERO_RADIUS sqrt(n)
+    of n x for some x of its rows and sets the rest to 0.0, which is
+    what exp returns for them anyway (see _ZERO_RADIUS).  The columns it
+    does assemble go through the same operations in the same order as
+    a full-width block, so every value is the same to the bit.
     """
     khi = n if khi is None else khi
     k = np.arange(klo, khi + 1, dtype=_LD)
@@ -104,23 +120,37 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
     ex = np.empty((m, k.size), dtype=_LD)
     tmp = np.empty_like(ex)
     out = np.empty((m, k.size))
+    # flat views, reshaped per block to its (rows, window) shape; the
+    # float64 view of tmp holds the exponent once tmp is spent
+    ex1, tmp1, f1 = ex.reshape(-1), tmp.reshape(-1), tmp.reshape(-1).view(np.float64)
+    reach = _ZERO_RADIUS * math.sqrt(n)
     for a in range(0, x.size, step):
         rows = slice(a, min(a + step, x.size))
         xb = x[rows]
-        e, t, o = ex[: xb.size], tmp[: xb.size], out[: xb.size]
+        o = out[: xb.size]
+        lo = max(klo, math.floor(n * float(xb.min()) - reach))
+        hi = min(khi, math.ceil(n * float(xb.max()) + reach))
+        j0, j1 = lo - klo, max(lo, hi + 1) - klo
+        o[:, :j0] = 0.0
+        o[:, j1:] = 0.0
+        shape = (xb.size, j1 - j0)
+        e = ex1[: xb.size * shape[1]].reshape(shape)
+        t = tmp1[: e.size].reshape(shape)
+        f = f1[: e.size].reshape(shape)
         xl = xb.astype(_LD)
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.multiply(np.log(xl)[:, None], k, out=e)
-            np.add(lrow, e, out=e)
-            np.multiply(np.log1p(-xl)[:, None], nk, out=t)
+            np.multiply(np.log(xl)[:, None], k[j0:j1], out=e)
+            np.add(lrow[j0:j1], e, out=e)
+            np.multiply(np.log1p(-xl)[:, None], nk[j0:j1], out=t)
             np.add(e, t, out=e)
-        o[...] = e
-        np.exp(o, out=o)
+        f[...] = e
+        np.exp(f, out=f)
+        o[:, j0:j1] = f
         # the log-space form leaves 0 * -inf = NaN where 0**0 = 1 is
         # meant; every other entry of an endpoint row is exp(-inf) = 0
-        if klo == 0:
+        if lo == 0:
             o[xb == 0.0, 0] = 1.0
-        if khi == n:
+        if hi == n:
             o[xb == 1.0, -1] = 1.0
         yield rows, o
 
@@ -148,8 +178,9 @@ class BasisRow:
 def basis_value(n: int, k: int, x: float) -> float:
     """p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k), evaluated in log space."""
     _check_degree(n)
-    if not 0 <= k <= n:
-        raise ValueError(f"index k={k} outside 0..{n}")
+    if not 0 <= k <= n or int(k) != k:
+        raise ValueError(f"index k must be an integer in 0..{n}, got {k!r}")
+    k = int(k)
     return float(_row(n, x, k, k)[0])
 
 
@@ -189,8 +220,11 @@ def bernstein_apply(samples, x):
 def central_moment_sum(n: int, gamma: float, x: float) -> float:
     """Sum_k p_{n,k}(x) |k - n x|^gamma."""
     _check_degree(n, 1)
-    if gamma < 0 and (x == 0.0 or x == 1.0):
-        raise ValueError("negative gamma is undefined at x in {0,1}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
+    # |k - n x|^gamma is 0**gamma at k = n x; this includes x in {0, 1}
+    if gamma < 0 and float(n * x).is_integer():
+        raise ValueError(f"negative gamma is undefined where n*x is an index, got n*x = {n * x!r}")
     d = np.abs(np.arange(n + 1, dtype=float) - n * x)
     with np.errstate(divide="ignore"):
         return float(np.dot(_row(n, x), d**gamma))

@@ -2,7 +2,9 @@
 
 Everything here is a from-scratch reimplementation (exact binomials,
 explicit four-sum operator, finite differences) kept deliberately
-separate from the library's evaluation paths.
+separate from the library's evaluation paths.  The one exception is the
+log-binomial table that full_width_block reads, for the reason in its
+docstring.
 """
 import math
 
@@ -34,6 +36,32 @@ def mp_row(n, x, dps=40):
         for k in range(n):
             row.append(row[-1] * (n - k) / (k + 1) * r)
     return row
+
+
+def full_width_block(n, x, klo, khi):
+    """p_{n,k}(x) for k = klo..khi (columns) at every x (rows), with the
+    exponent ln C(n,k) + k ln x + (n-k) ln(1-x) assembled in longdouble
+    over every column, in the kernel's operation order, then rounded to
+    float64 and exponentiated, with 0**0 = 1 at x = 0 and x = 1.
+
+    The log-binomials come from the library's table: this oracle pins
+    which entries the kernel leaves out, not the table, and an equality
+    to the bit needs the same table entries."""
+    from bernsing.basis import _binom_log_row
+
+    ld = np.longdouble
+    x = np.asarray(x, dtype=float)
+    k = np.arange(klo, khi + 1, dtype=ld)
+    xl = x.astype(ld)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = _binom_log_row(n)[klo : khi + 1] + np.log(xl) * k
+        e = e + np.log1p(-xl) * (n - k)
+    out = np.exp(e.astype(float))
+    if klo == 0:
+        out[x == 0.0, 0] = 1.0
+    if khi == n:
+        out[x == 1.0, -1] = 1.0
+    return out
 
 
 def quintic_switch(u):

@@ -6,15 +6,18 @@ import pytest
 
 from bernsing.basis import (
     _binom_log_row,
+    _blocks,
+    _row,
     basis_row,
     basis_value,
     bernstein_apply,
     central_moment_sum,
     inverse_moment_sum,
 )
-from bernsing.harness.checks import sequence_verdict
+from bernsing.harness.checks import _window, an_sum, lemma6_sum, sequence_verdict
+from bernsing.weights import WeightParams, wbar
 
-from oracles import mp_row, naive_basis, naive_row
+from oracles import full_width_block, mp_row, naive_basis, naive_row
 
 
 class TestBasisValue:
@@ -47,6 +50,12 @@ class TestBasisValue:
             basis_value(4, 2, 1.5)
         with pytest.raises(ValueError):
             basis_value(4, 2, -0.1)
+
+    def test_non_integer_index_rejected(self):
+        # a float k used to reach the index slice and raise TypeError
+        with pytest.raises(ValueError, match="integer"):
+            basis_value(10, 2.5, 0.3)
+        assert basis_value(10, 3.0, 0.3) == basis_value(10, 3, 0.3)
 
 
 class TestBasisRow:
@@ -201,6 +210,81 @@ class TestArbitraryPrecisionOracle:
         assert abs(math.fsum(row) - 1.0) <= 1e-14
         assert apply_err <= 1e-15
 
+    # The moment sums against the 40-digit row, rounded once to float64
+    # and summed with fsum against the same float64 weights, so the
+    # oracle itself is off by at most about 2 ulp.  Largest measured
+    # relative error: 4.2e-15 (central, inverse), 5.3e-15 (an_sum,
+    # lemma6_sum); the bound leaves a factor of about 2.
+    MOMENT_REL = 1e-14
+
+    @pytest.mark.parametrize("n", [4096, 16384])
+    @pytest.mark.parametrize("x", [0.013, 0.37, 0.5])
+    def test_moment_sums(self, n, x):
+        p = np.array([float(v) for v in mp_row(n, x)])
+        k = np.arange(n + 1, dtype=float)
+
+        def check(got, want):
+            # a sum below the float64 range (an_sum far from xi) is 0.0
+            if want <= 1e-300:
+                assert got <= 1e-300
+            else:
+                assert abs(got - want) <= self.MOMENT_REL * want
+
+        for gamma in (0.5, 1.0, 2.0, 3.0):
+            check(central_moment_sum(n, gamma, x),
+                  math.fsum(p * np.abs(k - n * x) ** gamma))
+        t = k[1:-1] / n
+        for u, v in ((0.5, 0.0), (1.0, 1.0), (2.0, 0.5)):
+            check(inverse_moment_sum(n, u, v, x),
+                  math.fsum(p[1:-1] * t**-u * (1.0 - t) ** -v))
+        params = WeightParams(xi=0.42, alpha=1.0)
+        klo, khi = _window(n, params.xi)
+        near, d = p[klo : khi + 1], np.abs(k[klo : khi + 1] - n * x)
+        check(an_sum(n, params, x), wbar(params, x) * math.fsum(near))
+        for beta in (0.5, 1.0, 2.0):
+            check(lemma6_sum(n, params, beta, x),
+                  wbar(params, x) * math.fsum(near * d**beta))
+
+
+class TestExactZeroWindow:
+    # The kernel assembles only the columns within sqrt(375 n) of n x and
+    # sets the rest to 0.0; the full-width oracle evaluates every column.
+    # Sorted abscissae give narrow windows per block, and single rows
+    # (_row) the narrowest; both must equal the oracle to the bit.
+    XI = 0.37
+
+    @classmethod
+    def _abscissae(cls):
+        rng = np.random.default_rng(375)
+        xi = cls.XI
+        ends = [0.0, 1.0, 1e-10, 1.0 - 1e-10, xi - 1e-10, xi + 1e-10]
+        return np.sort(np.concatenate(
+            [ends, rng.uniform(0.0, 1.0, 60), xi + rng.uniform(-0.02, 0.02, 34)]))
+
+    @staticmethod
+    def _windows(n):
+        return [w for w in ((0, n), (1, n - 1), (n // 3, n // 2)) if w[0] <= w[1]]
+
+    @pytest.mark.parametrize("n", [1, 7, 1024, 4096, 16384])
+    def test_equals_full_width(self, n):
+        xs = self._abscissae()
+        for klo, khi in self._windows(n):
+            want = full_width_block(n, xs, klo, khi)
+            got = np.concatenate([b.copy() for _, b in _blocks(n, xs, klo, khi)])
+            assert (got == want).all(), (klo, khi)
+            for x, row in zip(xs, want):
+                assert (_row(n, x, klo, khi) == row).all(), (x, klo, khi)
+
+    @pytest.mark.parametrize("n", [1, 7, 1024, 4096, 16384])
+    def test_oracle_is_zero_beyond_the_radius(self, n):
+        xs = self._abscissae()
+        for klo, khi in self._windows(n):
+            want = full_width_block(n, xs, klo, khi)
+            far = np.abs(np.arange(klo, khi + 1) - n * xs[:, None]) >= math.sqrt(375 * n)
+            assert (want[far] == 0.0).all(), (klo, khi)
+            if n >= 1024:
+                assert far.any()
+
 
 class TestCentralMomentSum:
     def test_frozen_examples(self):
@@ -232,6 +316,18 @@ class TestCentralMomentSum:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             central_moment_sum(8, -1.0, 0.0)
+
+    def test_negative_gamma_at_an_index_rejected(self):
+        # n x = 3 is an index, so the sum holds 0**-1; it used to return inf
+        with pytest.raises(ValueError, match="index"):
+            central_moment_sum(10, -1.0, 0.3)
+        assert math.isfinite(central_moment_sum(10, -1.0, 0.31))
+
+    def test_non_finite_gamma_rejected(self):
+        # NaN used to come back as the sum
+        for gamma in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                central_moment_sum(10, gamma, 0.3)
 
 
 class TestInverseMomentSum:

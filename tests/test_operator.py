@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bernsing import (
+    InvalidDegree,
     TestFunction,
     WeightParams,
     bbar_apply,
@@ -225,3 +227,92 @@ class TestNormBounds:
                 seq.append(float(np.max(w * vp ** (2.0 * lam) * b2 / bound)))
             assert all(np.isfinite(seq))
             assert kendall_tau(seq) <= 0.5, f"lambda={lam}: growth trend {seq}"
+
+
+def _valid_degree(n, xi):
+    try:
+        knots(n, xi)
+    except InvalidDegree:
+        return False
+    return True
+
+
+@st.composite
+def _configs(draw):
+    """(params, n) with xi in [0.25, 0.75], alpha in (0, 3] and n in
+    64..4096 valid for the knots at xi."""
+    xi = draw(st.floats(0.25, 0.75))
+    alpha = draw(st.floats(0.0, 3.0, exclude_min=True))
+    n = draw(st.integers(64, 4096))
+    assume(_valid_degree(n, xi))
+    return WeightParams(xi=xi, alpha=alpha), n
+
+
+def _singular(params, a, b, s):
+    """a |t - xi|^(-alpha/2) + b (t - s)^2: non-negative for a, b >= 0,
+    and infinite at xi."""
+    def f(t):
+        t = np.asarray(t, float)
+        with np.errstate(divide="ignore"):
+            return a * np.abs(t - params.xi) ** (-params.alpha / 2.0) + b * (t - s) ** 2
+
+    return TestFunction(eval=f, name="singular")
+
+
+def _probes(op):
+    k = op.knots
+    return np.concatenate([np.linspace(0.0, 1.0, 129), [k.x1, k.x2, op.params.xi, k.x3, k.x4]])
+
+
+_coef = st.floats(0.0, 10.0)
+_signed = st.floats(-5.0, 5.0)
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+class TestOperatorProperties:
+    @_PROPERTY
+    @given(_configs(), _coef, _coef, st.floats(0.0, 1.0))
+    def test_positive(self, cfg, a, b, s):
+        params, n = cfg
+        op = build_operator(_singular(params, a, b, s), n, params)
+        assert (bbar_apply(op, _probes(op)) >= 0.0).all()
+
+    @_PROPERTY
+    @given(_configs(), _signed, _signed)
+    def test_linear(self, cfg, a, b):
+        params, n = cfg
+        f = _singular(params, 1.0, 0.0, 0.0)
+        g = corpus("smooth-bump", params)
+        h = TestFunction(eval=lambda t: a * f.eval(t) + b * g.eval(t), name="combo")
+        opf, opg = build_operator(f, n, params), build_operator(g, n, params)
+        xs = _probes(opf)
+        scale = (abs(a) * np.abs(opf.fbar_samples).max()
+                 + abs(b) * np.abs(opg.fbar_samples).max())
+        np.testing.assert_allclose(
+            bbar_apply(build_operator(h, n, params), xs),
+            a * bbar_apply(opf, xs) + b * bbar_apply(opg, xs),
+            rtol=0, atol=1e-12 * scale + 1e-300)
+
+    @_PROPERTY
+    @given(_configs(), _signed, _signed)
+    def test_reproduces_affine(self, cfg, c0, c1):
+        params, n = cfg
+        f = TestFunction(eval=lambda t: c0 + c1 * np.asarray(t, float), name="affine")
+        op = build_operator(f, n, params)
+        xs = _probes(op)
+        np.testing.assert_allclose(bbar_apply(op, xs), c0 + c1 * xs, rtol=0, atol=1e-11)
+
+    @_PROPERTY
+    @given(_configs())
+    def test_f_never_evaluated_inside_bridge(self, cfg):
+        params, n = cfg
+        f = _singular(params, 1.0, 1.0, 0.5)
+        seen = []
+        spy = TestFunction(
+            eval=lambda t: (seen.append(np.atleast_1d(np.asarray(t, float))), f.eval(t))[1],
+            name="spied")
+        op = build_operator(spy, n, params)
+        bbar_apply(op, _probes(op))
+        seen = np.concatenate(seen)
+        k = op.knots
+        assert seen.size and not ((seen > k.x2) & (seen < k.x3)).any()
