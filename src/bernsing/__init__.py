@@ -21,11 +21,9 @@ from .exceptions import (
 )
 from .moduli import (
     ModulusConfig,
-    k_functional_upper,
     quadrature_bound_ratio,
     modulus_curve,
     second_difference,
-    steklov_means,
     weighted_modulus,
 )
 from .operator import OperatorInstance, bbar_apply, bbar_second, build_operator

@@ -235,6 +235,6 @@ def inverse_moment_sum(n: int, u: float, v: float, x: float) -> float:
     _check_degree(n, 2)
     if not 0.0 < x < 1.0:
         raise ValueError(f"abscissa must lie in (0,1), got {x!r}")
-    if u < 0 or v < 0:
-        raise ValueError("exponents u, v must be non-negative")
+    if not (math.isfinite(u) and math.isfinite(v)) or u < 0 or v < 0:
+        raise ValueError(f"exponents u, v must be finite and non-negative, got {u!r}, {v!r}")
     return float(np.dot(_row(n, x, 1, n - 1), _inverse_weights(n, u, v)))

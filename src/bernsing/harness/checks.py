@@ -10,11 +10,10 @@ log-log slopes.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 import numpy as np
 
-from ..basis import _blocks, _inverse_weights, _row
+from ..basis import _blocks, _check_degree, _inverse_weights, _row
 from ..blending import TestFunction, bridge_p, fbar_d2, knots
 from ..exceptions import Degenerate, MissingExponent
 from ..moduli import ModulusConfig, quadrature_bound_ratio, modulus_curve
@@ -95,14 +94,16 @@ def _window(n: int, xi: float) -> tuple[int, int]:
 def an_sum(n: int, params: WeightParams, x: float) -> float:
     """wbar(x) times the basis mass of the indices within sqrt(n) of
     n*xi (the samples the bridge replaces)."""
+    _check_degree(n, 1)
     klo, khi = _window(n, params.xi)
     return wbar(params, x) * float(_row(n, x, klo, khi).sum())
 
 
 def lemma6_sum(n: int, params: WeightParams, beta: float, x: float) -> float:
     """wbar(x) * sum over the same index window of |k - n x|^beta p_{n,k}(x)."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
+    _check_degree(n, 1)
+    if not math.isfinite(beta) or beta < 0:
+        raise ValueError(f"beta must be finite and non-negative, got {beta!r}")
     klo, khi = _window(n, params.xi)
     d = np.abs(np.arange(klo, khi + 1, dtype=float) - n * x)
     return wbar(params, x) * float(np.dot(_row(n, x, klo, khi), d**beta))
@@ -251,16 +252,12 @@ def inverse_check(cfg: ExperimentConfig) -> RateReport:
 def _per_point(fn, xs) -> np.ndarray:
     """fn at every abscissa as a scalar call.  numpy's vectorised pow
     can round differently from the scalar one in the last bit, and the
-    printed constants would move with it."""
+    printed constants would move with it.  On an AVX-512 host (numpy
+    2.4, SIMD pow) the array and the scalar call differ on the refined
+    grids of 41 xi in [0.3, 0.7]: varphi^3 at 7,901 and t^-0.5 at 7,960
+    of 139,686 abscissae in [0.1, 0.9], and wbar at 28,663 of 1,070,832
+    (alpha in 0.5, 1, ..., 3)."""
     return np.array([fn(t) for t in xs])
-
-
-def _rowdot(block: np.ndarray, weights) -> np.ndarray:
-    """block[i] . w_i for the vectors w_i that weights yields, one 1-d
-    np.dot per row.  A matrix product would sum in another order, and
-    ratios that equal 1 to within rounding (lemma 4 at gamma = 2) would
-    change their trend statistic."""
-    return np.array([np.dot(b, w) for b, w in zip(block, weights)])
 
 
 def _term_max(n: int, rows: slice, block: np.ndarray, span: slice, window, term) -> float:
@@ -303,11 +300,30 @@ def _verdict(name: str, seqs: dict) -> LemmaResult:
     return LemmaResult(name, "pass" if ok else "fail", max(map(max, seqs.values())), detail)
 
 
+# rows per |k - n x|^g weight matrix in _moment_ratio.  A cold `lemmas`
+# run peaks at 70.1 MiB (2 vCPU, numpy 2.4); one matrix per block
+# (976 x 1025 at n = 1024) raises that to 85.0 MiB and 64 rows to 70.7,
+# while 16 rows leave it at 70.1.  Each row's dot product reads only
+# that row, so the group size changes no bit.
+_ROW_GROUP = 16
+
+
 def _moment_ratio(xs, g, e, num):
-    """Term num(x) sum_k p_{n,k}(x) |k - n x|^g / (n^e varphi(x)^g)."""
+    """Term num(x) sum_k p_{n,k}(x) |k - n x|^g / (n^e varphi(x)^g).
+
+    np.vecdot sums each row with the same dot kernel as a 1-d np.dot.
+    A matrix product would sum in another order, and ratios that equal 1
+    to within rounding (lemma 4 at gamma = 2) would change their trend
+    statistic."""
     den = _per_point(lambda t: varphi(float(t)) ** g, xs)
-    return lambda n, rows, k, block: num[rows] * _rowdot(
-        block, (np.abs(k - n * t) ** g for t in xs[rows])) / (n ** e * den[rows])
+
+    def term(n, rows, k, block):
+        t = xs[rows, None]
+        sums = [np.vecdot(block[i : i + _ROW_GROUP], np.abs(k - n * t[i : i + _ROW_GROUP]) ** g)
+                for i in range(0, len(t), _ROW_GROUP)]
+        return num[rows] * np.concatenate(sums) / (n ** e * den[rows])
+
+    return term
 
 
 def _basis_lemmas(cfg, grid, f) -> dict:
@@ -326,7 +342,7 @@ def _basis_lemmas(cfg, grid, f) -> dict:
     def inverse(u, v):
         den = _per_point(lambda t: t**-u * (1.0 - t) ** -v, xs)
         return lambda n, rows, k, block: (
-            _rowdot(block, repeat(_inverse_weights(n, u, v))) / den[rows])
+            np.vecdot(block, _inverse_weights(n, u, v)) / den[rows])
 
     # (lemma, label) -> (abscissae, index window, per-row values)
     full, near = (lambda n: (0, n)), (lambda n: _window(n, cfg.params.xi))

@@ -36,7 +36,8 @@ class ExperimentConfig:
         for n in self.n_values:
             knots(n, self.params.xi)  # raises InvalidDegree for unusable n
         ts = list(self.t_values)
-        if not ts or ts != sorted(set(ts)) or ts[0] <= 0.0 or ts[-1] > 0.25:
+        # NaN fails both comparisons
+        if not ts or ts != sorted(set(ts)) or not all(0.0 < t <= 0.25 for t in ts):
             raise ValueError("t_values must be increasing and lie in (0, 1/4]")
 
     def make_grid(self) -> EvalGrid:

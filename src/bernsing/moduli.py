@@ -1,14 +1,13 @@
-"""Weighted second-order modulus of smoothness and a constructive
-upper bound for the main-part K-functional."""
+"""Weighted second-order modulus of smoothness and the step-weight
+quadrature ratio."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .blending import TestFunction
-from .exceptions import Degenerate, Inadmissible, MissingDerivative
+from .exceptions import Degenerate, Inadmissible
 from .weights import EvalGrid, StepWeight, WeightParams, step_weight, wbar
 
 __all__ = [
@@ -16,8 +15,6 @@ __all__ = [
     "second_difference",
     "weighted_modulus",
     "modulus_curve",
-    "k_functional_upper",
-    "steklov_means",
     "quadrature_bound_ratio",
 ]
 
@@ -30,8 +27,7 @@ __all__ = [
 REL_STEP_TUBE = 0.25
 
 T_MAX = 0.25
-# trapezoid nodes of steklov_means and panels per axis of quadrature_bound_ratio
-_QUAD_NODES = 129
+# panels per axis of quadrature_bound_ratio
 _PANELS = 256
 
 
@@ -46,10 +42,11 @@ class ModulusConfig:
     h_steps: int = 16
 
     def __post_init__(self):
-        if self.h_steps < 8:
-            raise ValueError("h_steps must be at least 8")
+        if not (self.h_steps >= 8 and float(self.h_steps).is_integer()):
+            raise ValueError(f"h_steps must be an integer >= 8, got {self.h_steps!r}")
         ts = np.asarray(self.t_values, dtype=float)
-        if ts.size == 0 or ts.min() <= 0.0 or ts.max() > T_MAX:
+        # NaN fails both comparisons
+        if ts.size == 0 or not ((ts > 0.0) & (ts <= T_MAX)).all():
             raise ValueError(f"t_values must lie in (0, {T_MAX}]")
         if ts.size > 1 and (np.diff(ts) <= 0).any():
             raise ValueError("t_values must be strictly increasing")
@@ -150,75 +147,6 @@ def modulus_curve(f: TestFunction, params: WeightParams, sw: StepWeight,
             raise Degenerate(f"no admissible (h, x) pair at t={tv!r}")
         curve.append(best)
     return np.array(curve)
-
-
-def k_functional_upper(f: TestFunction, params: WeightParams, sw: StepWeight,
-                       t: float, candidates: Sequence[TestFunction],
-                       grid: EvalGrid | None = None) -> float:
-    """min over candidates g of sup|wbar (f - g)| + t^2 sup|wbar phi^2 g''|,
-    an upper bound for the main-part K-functional (the true infimum over
-    all admissible g is not computable).  Norms are grid sups.
-    """
-    if not candidates:
-        raise ValueError("need at least one candidate")
-    if grid is None:
-        from .weights import refined_grid
-
-        grid = refined_grid(params)
-    x = grid.points
-    w = wbar(params, x)
-    phi2 = step_weight(sw, x) ** 2
-    fx = np.asarray(f.eval(x), dtype=float)
-    best = np.inf
-    for g in candidates:
-        if g.d2 is None:
-            raise MissingDerivative(f"candidate {g.name or 'g'} lacks d2")
-        close = np.max(np.abs(w * (fx - np.asarray(g.eval(x), dtype=float))))
-        stiff = np.max(np.abs(w * phi2 * np.asarray(g.d2(x), dtype=float)))
-        best = min(best, close + t * t * stiff)
-    return float(best)
-
-
-def steklov_means(f: TestFunction, params: WeightParams, sw: StepWeight,
-                  scales: Sequence[float]) -> list[TestFunction]:
-    """Double-averaging smoothers of f at the given step scales.
-
-    The two-fold average over [-h phi(x)/2, h phi(x)/2]^2 collapses to a
-    single integral against the triangular kernel (1-|s|) on [-1,1],
-    evaluated by composite trapezoid; evaluation points are clipped to
-    [0,1].  Second derivatives come from 5-point stencils whose step
-    follows the local smoothing width.
-    """
-    s = np.linspace(-1.0, 1.0, _QUAD_NODES)
-    wq = np.full(_QUAD_NODES, 2.0 / (_QUAD_NODES - 1))
-    wq[0] *= 0.5
-    wq[-1] *= 0.5
-    wq = wq * (1.0 - np.abs(s))
-    wq /= wq.sum()
-
-    def make(h: float) -> TestFunction:
-        def g(x):
-            # clamp the argument too: the d2 stencil probes slightly
-            # outside [0,1]
-            xs = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), 0.0, 1.0)
-            y = np.clip(xs[:, None] + (h * step_weight(sw, xs))[:, None] * s[None, :], 0.0, 1.0)
-            vals = np.asarray(f.eval(y.ravel()), dtype=float).reshape(y.shape) @ wq
-            return float(vals[0]) if np.ndim(x) == 0 else vals
-
-        def g2(x):
-            xs = np.atleast_1d(np.asarray(x, dtype=float))
-            step = np.maximum(1e-6, h * step_weight(sw, xs) / 16.0)
-            acc = -30.0 * g(xs)
-            for j, c in ((1, 16.0), (2, -1.0)):
-                acc = acc + c * (g(xs + j * step) + g(xs - j * step))
-            val = acc / (12.0 * step * step)
-            return float(val[0]) if np.ndim(x) == 0 else val
-
-        return TestFunction(
-            eval=g, d2=g2, name=f"steklov[{h:.6g}]({f.name or 'f'})", in_w2phi=True
-        )
-
-    return [make(float(h)) for h in scales]
 
 
 def quadrature_bound_ratio(sw: StepWeight, t: float, x: float) -> float:

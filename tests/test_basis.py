@@ -363,3 +363,9 @@ class TestInverseMomentSum:
                 inverse_moment_sum(8, 1.0, 1.0, bad_x)
         with pytest.raises(ValueError):
             inverse_moment_sum(1, 0.0, 0.0, 0.5)
+
+    def test_non_finite_exponents_rejected(self):
+        # NaN used to come back as the sum, and inf as inf
+        for u, v in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                inverse_moment_sum(64, u, v, 0.3)

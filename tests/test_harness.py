@@ -111,6 +111,20 @@ class TestWindowSums:
             b = an_sum(64, params, float(x))
             assert a == pytest.approx(b, rel=1e-14)
 
+    def test_non_finite_beta_rejected(self, params):
+        # NaN used to come back as the sum, and inf as inf
+        for beta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                lemma6_sum(64, params, beta, 0.3)
+
+    def test_invalid_degree_rejected(self, params):
+        # 64.5 used to raise a slice TypeError, -4 a math domain error
+        for n in (64.5, -4, 0):
+            with pytest.raises(ValueError, match="degree"):
+                an_sum(n, params, 0.3)
+            with pytest.raises(ValueError, match="degree"):
+                lemma6_sum(n, params, 1.0, 0.3)
+
 
 class TestErrorField:
     def test_affine_zero(self, params, light_grid):
@@ -400,3 +414,9 @@ class TestExperimentConfigValidation:
     def test_rejects_bad_t(self, params, sw):
         with pytest.raises(ValueError):
             _cfg(params, sw, t_values=(0.5,))
+
+    def test_rejects_non_finite_t(self, params, sw):
+        # NaN passes every <= test and used to be accepted
+        for bad in ((math.nan,), (0.0625, math.nan), (math.inf,)):
+            with pytest.raises(ValueError, match="t_values"):
+                _cfg(params, sw, t_values=bad)

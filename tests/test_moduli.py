@@ -7,16 +7,13 @@ from bernsing import (
     Degenerate,
     EvalGrid,
     Inadmissible,
-    MissingDerivative,
     ModulusConfig,
     StepWeight,
     TestFunction,
     WeightParams,
-    k_functional_upper,
     quadrature_bound_ratio,
     modulus_curve,
     second_difference,
-    steklov_means,
     step_weight,
     wbar,
     weighted_modulus,
@@ -146,6 +143,18 @@ class TestWeightedModulus:
         with pytest.raises(ValueError):
             ModulusConfig(x_grid=light_grid, t_values=(0.125, 0.0625))
 
+    def test_non_finite_t_rejected(self, light_grid):
+        # NaN used to pass, and a modulus run then failed as a check
+        for bad in ((math.nan,), (0.0625, math.nan), (math.inf,)):
+            with pytest.raises(ValueError, match="t_values"):
+                ModulusConfig(x_grid=light_grid, t_values=bad)
+
+    def test_fractional_h_steps_rejected(self, light_grid):
+        # 8.5 used to build a 9-step ladder with a ratio taken from 7.5
+        for bad in (8.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="h_steps"):
+                ModulusConfig(x_grid=light_grid, t_values=(0.125,), h_steps=bad)
+
 
 class TestQuadratureBound:
     def test_bounded_ratio_sweep(self, sw):
@@ -167,67 +176,3 @@ class TestQuadratureBound:
         with pytest.raises(ValueError):
             quadrature_bound_ratio(sw, 0.125, 0.1)
 
-
-class TestKFunctionalUpper:
-    def test_self_candidate_bound(self, params, sw, grid):
-        f = corpus("quadratic", params)
-        t = 0.125
-        val = k_functional_upper(f, params, sw, t, [f], grid=grid)
-        stiff = np.max(
-            wbar(params, grid.points)
-            * step_weight(sw, grid.points) ** 2
-            * np.abs(f.d2(grid.points))
-        )
-        assert val == pytest.approx(t * t * float(stiff), rel=1e-12)
-
-    def test_affine_zero(self, params, sw, grid):
-        f = corpus("affine", params)
-        assert k_functional_upper(f, params, sw, 0.125, [f], grid=grid) == 0.0
-
-    def test_missing_derivative(self, params, sw, grid):
-        f = corpus("quadratic", params)
-        bare = TestFunction(eval=f.eval, name="bare")
-        with pytest.raises(MissingDerivative):
-            k_functional_upper(f, params, sw, 0.125, [bare], grid=grid)
-
-    @pytest.mark.parametrize("a0", [1.0, 1.5])
-    def test_tracks_modulus_rate(self, params, sw, grid, a0):
-        # upper bound from double-averaging candidates follows the same
-        # power law as the modulus (slopes agree within 0.15) and stays
-        # within a factor 50 of it across the t grid
-        f = corpus("inner-cusp", params, a0)
-        ts = tuple(2.0**-k for k in range(8, 3, -1))
-        curve = modulus_curve(f, params, sw, _cfg(grid, ts=ts))
-        ks = []
-        for t in ts:
-            cands = steklov_means(f, params, sw, (t, t / 2.0, t / 4.0))
-            ks.append(k_functional_upper(f, params, sw, t, cands, grid=grid))
-        s_mod = fit_rate(list(zip(ts, curve)), scale_name="t").fitted_slope
-        s_k = fit_rate(list(zip(ts, ks)), scale_name="t").fitted_slope
-        assert abs(s_mod - s_k) <= 0.15
-        factors = np.array(ks) / np.array(curve)
-        assert (factors < 50.0).all() and (factors > 1.0 / 50.0).all()
-
-
-class TestSteklovMeans:
-    def test_reproduces_affine(self, params, sw):
-        f = corpus("affine", params)
-        (g,) = steklov_means(f, params, sw, (0.125,))
-        xs = np.linspace(0.05, 0.95, 31)
-        np.testing.assert_allclose(g.eval(xs), f.eval(xs), rtol=0, atol=1e-13)
-
-    def test_smooths_toward_f(self, params, sw):
-        f = corpus("inner-cusp", params, 1.5)
-        xs = np.linspace(0.1, 0.9, 41)
-        errs = []
-        for h in (0.2, 0.05, 0.0125):
-            (g,) = steklov_means(f, params, sw, (h,))
-            errs.append(float(np.max(np.abs(g.eval(xs) - f.eval(xs)))))
-        assert errs[0] > errs[1] > errs[2]
-
-    def test_d2_matches_smooth_target(self, params, sw):
-        # on a genuinely smooth function the stencil d2 tracks the true one
-        f = corpus("smooth-bump", params)
-        (g,) = steklov_means(f, params, sw, (0.01,))
-        for x in (0.2, 0.35, 0.6):
-            assert float(g.d2(x)) == pytest.approx(float(f.d2(x)), rel=0.05)
