@@ -3,6 +3,15 @@ singularity: stable basis evaluation, the bridged operator that never
 samples the singular zone, weighted smoothness moduli, and a
 verification harness with a CLI."""
 
+import os
+
+# One OpenBLAS thread unless the user chose otherwise.  The only BLAS
+# calls are per-block gemvs on blocks that one Python thread assembles,
+# so a second BLAS thread only spins between those calls, and the last
+# bits of a gemv depend on the thread count.  This must run before numpy
+# is imported; where numpy was imported first it has no effect.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .basis import (
     BasisRow,
     basis_row,

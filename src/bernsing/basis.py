@@ -8,6 +8,12 @@ near n = 1030; the exponent cancellation (log-binomial against
 k*ln x + (n-k)*ln(1-x), both of size ~n) would cost ~1e-12 of absolute
 accuracy if assembled in float64, which is why the table and assembly
 use ``np.longdouble``.
+
+Entries that float64 ``exp`` would return as exactly 0.0 are not
+evaluated.  A block of abscissae assembles only the indices between two
+Chernoff edges, past which p_{n,k}(x) <= exp(-n KL(k/n || x)) <= exp(-750);
+each edge takes a fixed four Newton steps from the Hoeffding radius
+sqrt(375 n), so it costs O(1) per block and never widens the window.
 """
 from __future__ import annotations
 
@@ -68,23 +74,50 @@ def _binom_log_row(n: int) -> np.ndarray:
     return row
 
 
-# Values per block.  Smaller blocks lose BLAS threading in the
-# bernstein_apply product; larger ones grow the workspace.  The rows per
-# block follow the full index width even though only a window of it is
-# assembled: the last bits of a bernstein_apply value depend on the
-# block shape its gemv sees.
+# Values per block.  The rows per block follow the full index width even
+# though only a window of it is assembled, and with one BLAS thread the
+# size no longer buys gemv threading: it is kept because the last bits of
+# a bernstein_apply value depend on the block shape its gemv sees.
 _BLOCK_VALUES = 1_000_000
 
-# Past |k - n x| >= _ZERO_RADIUS sqrt(n), p_{n,k}(x) <= exp(-2 (k-nx)^2 / n)
-# <= exp(-750) (Hoeffding), while float64 exp already returns exactly 0.0
-# below about -745.13; the longdouble exponent is off by ~1e-13 at most.
-# Those entries are set to 0.0 without being evaluated.
-_ZERO_RADIUS = math.sqrt(375.0)
+# An entry is set to 0.0 without being evaluated where Chernoff's bound
+# p_{n,k}(x) <= exp(-n KL(k/n || x)) is at most exp(-_ZERO_EXPONENT),
+# below float64 exp's zero threshold of about -745.13; the longdouble
+# exponent is off by ~1e-13 at most.  _zero_reach finds that Chernoff
+# edge.  _ZERO_RADIUS sqrt(n) is the Hoeffding radius, where
+# KL >= 2 ((k - n x)/n)^2 already gives the bound; it serves only as the
+# Newton start.
+_ZERO_EXPONENT = 750.0
+_ZERO_RADIUS = math.sqrt(_ZERO_EXPONENT / 2.0)
+_NEWTON_STEPS = 4
 
 
-def _check_degree(n: int, least: int = 0) -> None:
+def _zero_reach(n: int, a: float, b: float) -> float:
+    """A distance r <= _ZERO_RADIUS sqrt(n) such that p_{n,k}(x) <=
+    exp(-_ZERO_EXPONENT) wherever k lies more than r from n x on one
+    side: above it with a = x, below it with a = 1 - x; b = 1 - a.
+
+    g(d) = n KL(a + d || a) - _ZERO_EXPONENT is convex and increasing in
+    d on (0, b), and g >= 0 at the Hoeffding start, so every Newton step
+    stays at or beyond the root: each iterate is a valid edge.  Where the
+    start already lies past the end index (reach >= n b), or a = 0, the
+    Hoeffding radius is returned."""
+    reach = _ZERO_RADIUS * math.sqrt(n)
+    if a <= 0.0 or reach >= n * b:
+        return reach
+    d = reach / n
+    for _ in range(_NEWTON_STEPS):
+        up, down = math.log1p(d / a), math.log1p(-d / b)
+        g = n * ((a + d) * up + (b - d) * down) - _ZERO_EXPONENT
+        d -= g / (n * (up - down))
+    return min(reach, n * d)
+
+
+def _check_degree(n: int, least: int = 0) -> int:
+    """n as an int; a float-valued integer such as 64.0 is accepted."""
     if n < least or int(n) != n:
         raise ValueError(f"degree must be an integer >= {least}, got {n!r}")
+    return int(n)
 
 
 def _check_x(x) -> np.ndarray:
@@ -105,11 +138,12 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
     rows at x = 0 and x = 1 are unit vectors (zero outside the index
     window).
 
-    Each block assembles only the columns within _ZERO_RADIUS sqrt(n)
-    of n x for some x of its rows and sets the rest to 0.0, which is
-    what exp returns for them anyway (see _ZERO_RADIUS).  The columns it
-    does assemble go through the same operations in the same order as
-    a full-width block, so every value is the same to the bit.
+    Each block assembles only the columns between the lower Chernoff
+    edge of its smallest x and the upper edge of its largest x (see
+    _zero_reach; both edges increase with x) and sets the rest to 0.0,
+    which is what exp returns for them anyway.  The columns it does
+    assemble go through the same operations in the same order as a
+    full-width block, so every value is the same to the bit.
     """
     khi = n if khi is None else khi
     k = np.arange(klo, khi + 1, dtype=_LD)
@@ -120,32 +154,30 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
     ex = np.empty((m, k.size), dtype=_LD)
     tmp = np.empty_like(ex)
     out = np.empty((m, k.size))
-    # flat views, reshaped per block to its (rows, window) shape; the
-    # float64 view of tmp holds the exponent once tmp is spent
-    ex1, tmp1, f1 = ex.reshape(-1), tmp.reshape(-1), tmp.reshape(-1).view(np.float64)
-    reach = _ZERO_RADIUS * math.sqrt(n)
+    # flat views, reshaped per block to its (rows, window) shape
+    ex1, tmp1 = ex.reshape(-1), tmp.reshape(-1)
     for a in range(0, x.size, step):
         rows = slice(a, min(a + step, x.size))
         xb = x[rows]
         o = out[: xb.size]
-        lo = max(klo, math.floor(n * float(xb.min()) - reach))
-        hi = min(khi, math.ceil(n * float(xb.max()) + reach))
+        xmin, xmax = float(xb.min()), float(xb.max())
+        lo = max(klo, math.floor(n * xmin - _zero_reach(n, 1.0 - xmin, xmin)))
+        hi = min(khi, math.ceil(n * xmax + _zero_reach(n, xmax, 1.0 - xmax)))
         j0, j1 = lo - klo, max(lo, hi + 1) - klo
         o[:, :j0] = 0.0
         o[:, j1:] = 0.0
         shape = (xb.size, j1 - j0)
         e = ex1[: xb.size * shape[1]].reshape(shape)
         t = tmp1[: e.size].reshape(shape)
-        f = f1[: e.size].reshape(shape)
         xl = xb.astype(_LD)
         with np.errstate(divide="ignore", invalid="ignore"):
             np.multiply(np.log(xl)[:, None], k[j0:j1], out=e)
             np.add(lrow[j0:j1], e, out=e)
             np.multiply(np.log1p(-xl)[:, None], nk[j0:j1], out=t)
             np.add(e, t, out=e)
-        f[...] = e
-        np.exp(f, out=f)
-        o[:, j0:j1] = f
+        ow = o[:, j0:j1]
+        ow[...] = e
+        np.exp(ow, out=ow)
         # the log-space form leaves 0 * -inf = NaN where 0**0 = 1 is
         # meant; every other entry of an endpoint row is exp(-inf) = 0
         if lo == 0:
@@ -177,7 +209,7 @@ class BasisRow:
 
 def basis_value(n: int, k: int, x: float) -> float:
     """p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k), evaluated in log space."""
-    _check_degree(n)
+    n = _check_degree(n)
     if not 0 <= k <= n or int(k) != k:
         raise ValueError(f"index k must be an integer in 0..{n}, got {k!r}")
     k = int(k)
@@ -186,7 +218,7 @@ def basis_value(n: int, k: int, x: float) -> float:
 
 def basis_row(n: int, x: float) -> BasisRow:
     """All basis values at x as a BasisRow (non-negative, sums to 1)."""
-    _check_degree(n, 1)
+    n = _check_degree(n, 1)
     w = _row(n, x)
     w.flags.writeable = False
     return BasisRow(n=n, x=x, weights=w)
@@ -201,9 +233,11 @@ def bernstein_apply(samples, x):
 
     The last bit of a value depends on which abscissae share its block:
     ``block @ s`` is a BLAS gemv, which sums each row in an order set by
-    the kernel and the block shape.  At n = 4096 with samples cos(0.37k)
-    on 1000 points, the array and the scalar path agree bit for bit at
-    about a dozen points and differ by at most 1.1e-16 elsewhere.
+    the kernel, the block shape and the BLAS thread count.  At n = 4096
+    with samples cos(0.37k) on 1000 points, the array and the scalar
+    path agree bit for bit at about a dozen points and differ by at most
+    1.1e-16 elsewhere.  On the 4352-point refined grid at n = 16384, one
+    and two OpenBLAS threads differ at 247 points, by at most 6.2e-15.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or s.size == 0:
@@ -219,7 +253,7 @@ def bernstein_apply(samples, x):
 
 def central_moment_sum(n: int, gamma: float, x: float) -> float:
     """Sum_k p_{n,k}(x) |k - n x|^gamma."""
-    _check_degree(n, 1)
+    n = _check_degree(n, 1)
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma!r}")
     # |k - n x|^gamma is 0**gamma at k = n x; this includes x in {0, 1}
@@ -232,7 +266,7 @@ def central_moment_sum(n: int, gamma: float, x: float) -> float:
 
 def inverse_moment_sum(n: int, u: float, v: float, x: float) -> float:
     """Sum over interior indices k = 1..n-1 of (k/n)^-u (1-k/n)^-v p_{n,k}(x)."""
-    _check_degree(n, 2)
+    n = _check_degree(n, 2)
     if not 0.0 < x < 1.0:
         raise ValueError(f"abscissa must lie in (0,1), got {x!r}")
     if not (math.isfinite(u) and math.isfinite(v)) or u < 0 or v < 0:

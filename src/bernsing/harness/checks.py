@@ -94,14 +94,14 @@ def _window(n: int, xi: float) -> tuple[int, int]:
 def an_sum(n: int, params: WeightParams, x: float) -> float:
     """wbar(x) times the basis mass of the indices within sqrt(n) of
     n*xi (the samples the bridge replaces)."""
-    _check_degree(n, 1)
+    n = _check_degree(n, 1)
     klo, khi = _window(n, params.xi)
     return wbar(params, x) * float(_row(n, x, klo, khi).sum())
 
 
 def lemma6_sum(n: int, params: WeightParams, beta: float, x: float) -> float:
     """wbar(x) * sum over the same index window of |k - n x|^beta p_{n,k}(x)."""
-    _check_degree(n, 1)
+    n = _check_degree(n, 1)
     if not math.isfinite(beta) or beta < 0:
         raise ValueError(f"beta must be finite and non-negative, got {beta!r}")
     klo, khi = _window(n, params.xi)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -8,6 +12,7 @@ from bernsing.basis import (
     _binom_log_row,
     _blocks,
     _row,
+    _zero_reach,
     basis_row,
     basis_value,
     bernstein_apply,
@@ -285,6 +290,38 @@ class TestExactZeroWindow:
             if n >= 1024:
                 assert far.any()
 
+    # The Chernoff edges at the extremes of x: at the endpoints, in the
+    # underflow range next to them, and in the middle.  Mixed blocks hold
+    # endpoint-cluster and mid-grid rows together, so one block's window
+    # spans both (at n = 65536 a block has 15 rows).
+    EDGE_X = [0.0, 1e-300, 1e-10, 1e-3, 0.2, 0.5, 0.99, 1.0 - 1e-10, 1.0]
+
+    @classmethod
+    def _mixed(cls):
+        mid = np.linspace(0.3, 0.7, 11)
+        return np.concatenate([[x, m] for x, m in zip(cls.EDGE_X, mid)] + [cls.EDGE_X[::-1]])
+
+    @pytest.mark.parametrize("n", [64, 1024, 16384, 65536])
+    def test_chernoff_edges_equal_full_width(self, n):
+        xs = np.array(self.EDGE_X)
+        for x in xs:
+            assert (_row(n, x) == full_width_block(n, [x], 0, n)[0]).all(), x
+        for x in (xs, self._mixed()):
+            want = full_width_block(n, x, 0, n)
+            got = np.concatenate([b.copy() for _, b in _blocks(n, x)])
+            assert (got == want).all()
+
+    @pytest.mark.parametrize("n", [64, 1024, 16384, 65536])
+    def test_chernoff_window_within_hoeffding(self, n):
+        hoeffding = math.sqrt(375 * n)
+        for x in self.EDGE_X:
+            for a, b in ((x, 1.0 - x), (1.0 - x, x)):
+                r = _zero_reach(n, a, b)
+                if a > 0.0 and hoeffding < n * b:
+                    assert 0.0 < r < hoeffding, (x, a)
+                else:
+                    assert r == hoeffding, (x, a)
+
 
 class TestCentralMomentSum:
     def test_frozen_examples(self):
@@ -369,3 +406,45 @@ class TestInverseMomentSum:
         for u, v in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, math.inf)):
             with pytest.raises(ValueError, match="finite"):
                 inverse_moment_sum(64, u, v, 0.3)
+
+
+class TestFloatValuedDegree:
+    # a float-valued integer degree used to reach np.empty in the
+    # log-factorial table and raise TypeError
+    CASES = {
+        "basis_row": lambda n: basis_row(n, 0.3).weights,
+        "basis_value": lambda n: basis_value(n, 3, 0.3),
+        "central_moment_sum": lambda n: central_moment_sum(n, 1.0, 0.3),
+        "inverse_moment_sum": lambda n: inverse_moment_sum(n, 1, 1, 0.3),
+        "an_sum": lambda n: an_sum(n, WeightParams(0.5, 1.0), 0.3),
+        "lemma6_sum": lambda n: lemma6_sum(n, WeightParams(0.5, 1.0), 1.0, 0.3),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_int_degree(self, name):
+        got, want = self.CASES[name](64.0), self.CASES[name](64)
+        assert np.array_equal(got, want)
+
+    def test_basis_row_keeps_an_int(self):
+        assert type(basis_row(64.0, 0.3).n) is int
+
+
+class TestBlasThreadDefault:
+    # importing bernsing sets one OpenBLAS thread unless the user set one
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+    def _imported(self, preset):
+        env = dict(os.environ, PYTHONPATH=self.SRC)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = "import os, bernsing; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        return done.stdout.strip()
+
+    def test_unset_becomes_one(self):
+        assert self._imported(None) == "1"
+
+    def test_user_value_wins(self):
+        assert self._imported("2") == "2"
