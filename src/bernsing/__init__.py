@@ -6,9 +6,9 @@ verification harness with a CLI."""
 import os
 
 # One OpenBLAS thread unless the user chose otherwise.  The only BLAS
-# calls are per-block gemvs on blocks that one Python thread assembles,
-# so a second BLAS thread only spins between those calls, and the last
-# bits of a gemv depend on the thread count.  This must run before numpy
+# calls are per-block gemvs, each after its block's assembly threads are
+# joined, so a second BLAS thread only spins between those calls, and
+# the last bits of a gemv depend on the thread count.  This must run before numpy
 # is imported; where numpy was imported first it has no effect.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

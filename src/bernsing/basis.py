@@ -14,11 +14,17 @@ evaluated.  A block of abscissae assembles only the indices between two
 Chernoff edges, past which p_{n,k}(x) <= exp(-n KL(k/n || x)) <= exp(-750);
 each edge takes a fixed four Newton steps from the Hoeffding radius
 sqrt(375 n), so it costs O(1) per block and never widens the window.
+
+A large block's elementwise work is split by rows into one part per
+usable CPU, each on a thread (``taskset`` restricts them); an entry goes
+through the same operations in the same order in any part: no bit moves.
 """
 from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,19 +80,19 @@ def _binom_log_row(n: int) -> np.ndarray:
     return row
 
 
-# Values per block.  The rows per block follow the full index width even
-# though only a window of it is assembled, and with one BLAS thread the
-# size no longer buys gemv threading: it is kept because the last bits of
-# a bernstein_apply value depend on the block shape its gemv sees.
+# Values per block, and at least per part where a block is split by rows.
+# The rows per block follow the full index width even though only a
+# window of it is assembled, and with one BLAS thread the size no longer
+# buys gemv threading: it is kept because the last bits of a
+# bernstein_apply value depend on the block shape its gemv sees.
 _BLOCK_VALUES = 1_000_000
+_PART_VALUES = 1 << 15
 
-# An entry is set to 0.0 without being evaluated where Chernoff's bound
-# p_{n,k}(x) <= exp(-n KL(k/n || x)) is at most exp(-_ZERO_EXPONENT),
-# below float64 exp's zero threshold of about -745.13; the longdouble
-# exponent is off by ~1e-13 at most.  _zero_reach finds that Chernoff
-# edge.  _ZERO_RADIUS sqrt(n) is the Hoeffding radius, where
-# KL >= 2 ((k - n x)/n)^2 already gives the bound; it serves only as the
-# Newton start.
+# Entries are set to 0.0 unevaluated past the Chernoff edge (_zero_reach)
+# where p_{n,k}(x) <= exp(-n KL(k/n || x)) <= exp(-_ZERO_EXPONENT), below
+# float64 exp's zero threshold of about -745.13 (the longdouble exponent
+# is off by ~1e-13 at most).  _ZERO_RADIUS sqrt(n), the Hoeffding radius
+# where KL >= 2 ((k - n x)/n)^2 already gives the bound, is the Newton start.
 _ZERO_EXPONENT = 750.0
 _ZERO_RADIUS = math.sqrt(_ZERO_EXPONENT / 2.0)
 _NEWTON_STEPS = 4
@@ -129,6 +135,31 @@ def _check_x(x) -> np.ndarray:
     return xs
 
 
+def _in_parts(part, rows: int, values: int) -> None:
+    """part(r) on row slices r, one per usable CPU of _PART_VALUES values
+    at least: the first on this thread, each other on a thread of its own,
+    all joined before the first error, if any, is re-raised."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = min(rows, values // _PART_VALUES, cpus or 1)
+    if parts <= 1:
+        return part(slice(0, rows))
+    cuts, errors = [rows * i // parts for i in range(parts + 1)], []
+
+    def run(r):
+        try:
+            part(r)
+        except BaseException as exc:
+            errors.append(exc)
+    threads = [threading.Thread(target=run, args=(slice(*ab),)) for ab in zip(cuts[1:], cuts[2:])]
+    for th in threads:
+        th.start()
+    run(slice(0, cuts[1]))
+    for th in threads:
+        th.join()
+    if errors:
+        raise errors[0]
+
+
 def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
     """Yield (rows, block) with block[i, j] = p_{n, klo+j}(x[rows][i]).
 
@@ -151,11 +182,9 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
     lrow = _binom_log_row(n)[klo : khi + 1]
     step = max(1, _BLOCK_VALUES // k.size)
     m = min(step, x.size)
-    ex = np.empty((m, k.size), dtype=_LD)
-    tmp = np.empty_like(ex)
+    # flat workspaces, reshaped per block to its (rows, window) shape
+    ex1, tmp1 = np.empty(m * k.size, dtype=_LD), np.empty(m * k.size, dtype=_LD)
     out = np.empty((m, k.size))
-    # flat views, reshaped per block to its (rows, window) shape
-    ex1, tmp1 = ex.reshape(-1), tmp.reshape(-1)
     for a in range(0, x.size, step):
         rows = slice(a, min(a + step, x.size))
         xb = x[rows]
@@ -164,20 +193,23 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
         lo = max(klo, math.floor(n * xmin - _zero_reach(n, 1.0 - xmin, xmin)))
         hi = min(khi, math.ceil(n * xmax + _zero_reach(n, xmax, 1.0 - xmax)))
         j0, j1 = lo - klo, max(lo, hi + 1) - klo
-        o[:, :j0] = 0.0
-        o[:, j1:] = 0.0
         shape = (xb.size, j1 - j0)
         e = ex1[: xb.size * shape[1]].reshape(shape)
         t = tmp1[: e.size].reshape(shape)
         xl = xb.astype(_LD)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.multiply(np.log(xl)[:, None], k[j0:j1], out=e)
-            np.add(lrow[j0:j1], e, out=e)
-            np.multiply(np.log1p(-xl)[:, None], nk[j0:j1], out=t)
-            np.add(e, t, out=e)
-        ow = o[:, j0:j1]
-        ow[...] = e
-        np.exp(ow, out=ow)
+
+        def part(r):
+            # a thread starts from numpy's default error state
+            with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+                o[r, :j0] = o[r, j1:] = 0.0
+                er, tr, ow = e[r], t[r], o[r, j0:j1]
+                np.multiply(np.log(xl[r])[:, None], k[j0:j1], out=er)
+                np.add(lrow[j0:j1], er, out=er)
+                np.multiply(np.log1p(-xl[r])[:, None], nk[j0:j1], out=tr)
+                np.add(er, tr, out=er)
+                ow[...] = er
+                np.exp(ow, out=ow)
+        _in_parts(part, xb.size, e.size)
         # the log-space form leaves 0 * -inf = NaN where 0**0 = 1 is
         # meant; every other entry of an endpoint row is exp(-inf) = 0
         if lo == 0:
@@ -233,11 +265,9 @@ def bernstein_apply(samples, x):
 
     The last bit of a value depends on which abscissae share its block:
     ``block @ s`` is a BLAS gemv, which sums each row in an order set by
-    the kernel, the block shape and the BLAS thread count.  At n = 4096
-    with samples cos(0.37k) on 1000 points, the array and the scalar
-    path agree bit for bit at about a dozen points and differ by at most
-    1.1e-16 elsewhere.  On the 4352-point refined grid at n = 16384, one
-    and two OpenBLAS threads differ at 247 points, by at most 6.2e-15.
+    the kernel, the block shape and the BLAS thread count (on the refined
+    grid at n = 16384, one and two OpenBLAS threads differ by up to
+    6.2e-15).  The row split of the block's assembly moves no bit.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or s.size == 0:

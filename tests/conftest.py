@@ -1,7 +1,9 @@
+# bernsing first: importing it sets one OpenBLAS thread, which numpy
+# reads when it is first imported, so the suite runs the CLI's default.
+from bernsing import StepWeight, WeightParams, refined_grid
+
 import numpy as np
 import pytest
-
-from bernsing import StepWeight, WeightParams, refined_grid
 
 
 @pytest.fixture(scope="session")

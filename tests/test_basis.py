@@ -1,7 +1,12 @@
+import ctypes
+import glob
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -9,8 +14,11 @@ import numpy as np
 import pytest
 
 from bernsing.basis import (
+    _BLOCK_VALUES,
+    _PART_VALUES,
     _binom_log_row,
     _blocks,
+    _in_parts,
     _row,
     _zero_reach,
     basis_row,
@@ -323,6 +331,114 @@ class TestExactZeroWindow:
                     assert r == hoeffding, (x, a)
 
 
+class TestRowSplit:
+    # _blocks splits each block's elementwise work by rows into one part
+    # per usable CPU.  Every entry sees the same operations however the
+    # rows are cut, so any part count must give the full-width bits.
+
+    @staticmethod
+    def _abscissae(n):
+        # one whole block, x = 0 in its first part and x = 1 in its last
+        rows = _BLOCK_VALUES // (n + 1)
+        return np.concatenate([[0.0], np.linspace(0.3, 0.7, rows - 2), [1.0]])
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """A setter for the number of CPUs the kernel sees as usable."""
+        def use(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+        return use
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """The number of threads started so far, as a one-item list."""
+        count = [0]
+        start = threading.Thread.start
+
+        def counted(thread):
+            count[0] += 1
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return count
+
+    @pytest.mark.parametrize("n", [1024, 16384, 65536])
+    def test_any_part_count_gives_the_full_width_bits(self, n, cpus, starts):
+        # more parts than cores, switching threads as often as it can
+        xs = self._abscissae(n)
+        want = full_width_block(n, xs, 0, n).view(np.uint64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for count in (1, 2, 3, 7):
+                cpus(count)
+                before = starts[0]
+                (rows, got), = _blocks(n, xs)
+                assert rows == slice(0, xs.size)
+                assert (got.view(np.uint64) == want).all(), count
+                assert starts[0] - before == count - 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_small_blocks_start_no_thread(self, cpus, starts):
+        cpus(7)
+        for n in (64, 16384, 65536):
+            _row(n, 0.3)
+            basis_value(n, n // 3, 0.3)
+            central_moment_sum(n, 2.0, 0.3)
+        assert starts[0] == 0
+
+    def test_callers_errstate_does_not_raise(self, cpus, starts):
+        # x = 0 and x = 1 give log(0) and 0 * -inf; the interior rows
+        # underflow in exp near the window edges.  A warning from any part
+        # is an error too: a worker on numpy's default state would warn.
+        cpus(2)
+        n, xs = 16384, self._abscissae(16384)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (_, got), = _blocks(n, xs)
+        assert starts[0] == 1
+        assert (got == full_width_block(n, xs, 0, n)).all()
+
+    def test_a_failing_part_raises_after_the_join(self, cpus):
+        cpus(3)
+        done = []
+
+        def part(r):
+            if r.start > 0:
+                raise ZeroDivisionError(r.start)
+            done.append(r)
+
+        with pytest.raises(ZeroDivisionError):
+            _in_parts(part, 6, 6 * _PART_VALUES)
+        assert done == [slice(0, 2)]
+
+    def test_fork_after_a_split_block(self, cpus, starts):
+        # a forked child must not wait on workers its parent started;
+        # the split starts and joins plain threads per block, so none is left
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method")
+        cpus(2)
+        s = np.cos(0.37 * np.arange(16385))
+        xs = np.linspace(0.0, 1.0, 4353)
+        want = bernstein_apply(s, xs)
+        assert starts[0] > 0
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(bernstein_apply(s, xs)))
+        child.start()
+        try:
+            assert receive.poll(60), "the forked child did not answer within 60 s"
+            got = receive.recv()
+        finally:
+            child.join(5)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+
 class TestCentralMomentSum:
     def test_frozen_examples(self):
         brute = sum((k - 2.0) ** 2 * naive_basis(4, k, 0.5) for k in range(5))
@@ -448,3 +564,19 @@ class TestBlasThreadDefault:
 
     def test_user_value_wins(self):
         assert self._imported("2") == "2"
+
+    def test_suite_runs_one_thread(self):
+        # conftest imports bernsing before numpy, so the in-process tests,
+        # the reference comparisons among them, run the CLI's default
+        libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                      "numpy.libs", "*openblas*"))
+        for path in libs:
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                         "openblas_get_num_threads64_", "openblas_get_num_threads"):
+                get = getattr(lib, name, None)
+                if get is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    assert get() == 1
+                    return
+        pytest.skip("numpy is not linked to a bundled OpenBLAS")

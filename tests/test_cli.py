@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,6 +141,19 @@ class TestDeterminism:
                         "--alpha0", "1.5", "--grid", "65537", "--n", "64:128",
                         "--out", str(out)]) == 0
         assert out.read_bytes() == (REFERENCE / "modulus-dense" / "xi-0.50.csv").read_bytes()
+
+    def test_rates_match_reference(self, tmp_path):
+        # The deep sweep runs _blocks split across the usable CPUs.  It runs
+        # in a new interpreter, as the reference was made: the last bits of
+        # the log-factorial table depend on the degrees asked for before.
+        out = tmp_path / "rates.csv"
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        argv = ["rates", "--xi", "0.50", "--alpha", "1", "--function", "inner-root",
+                "--n", "64:16384", "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "bernsing.harness.cli", *argv], env=env,
+                       timeout=120, check=True)
+        assert out.read_bytes() == (REFERENCE / "rates-deep" / "xi-0.50.csv").read_bytes()
 
     def test_csv_layout(self, tmp_path):
         out = tmp_path / "r.csv"
