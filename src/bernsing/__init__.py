@@ -13,7 +13,6 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .basis import (
-    BasisRow,
     basis_row,
     basis_value,
     bernstein_apply,
@@ -23,7 +22,6 @@ from .basis import (
 from .blending import Knots, TestFunction, bridge_p, fbar, fbar_d2, knots, psi, psi_d
 from .exceptions import (
     Degenerate,
-    Inadmissible,
     InvalidDegree,
     MissingDerivative,
     MissingExponent,
@@ -32,8 +30,6 @@ from .moduli import (
     ModulusConfig,
     quadrature_bound_ratio,
     modulus_curve,
-    second_difference,
-    weighted_modulus,
 )
 from .operator import OperatorInstance, bbar_apply, bbar_second, build_operator
 from .weights import (

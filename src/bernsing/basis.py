@@ -25,12 +25,10 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "BasisRow",
     "basis_value",
     "basis_row",
     "bernstein_apply",
@@ -42,31 +40,32 @@ _LD = np.longdouble
 
 # ln(i!) for i = 0..len-1, accumulated with Neumaier compensation so the
 # per-entry absolute error stays at the longdouble rounding level instead
-# of growing with the table length.
+# of growing with the table length.  The table grows in fixed segments,
+# up to 64 and then by doubling, with the compensation restarted at each
+# segment start, so no entry depends on the degrees asked for before.
 _ln_fact = np.zeros(2, dtype=_LD)
 
 
 def _extend_ln_fact(n: int) -> None:
     global _ln_fact
-    top = _ln_fact.size - 1
-    if n <= top:
-        return
-    size = max(n, 2 * top)
-    logs = np.log(np.arange(top + 1, size + 1, dtype=_LD))
-    out = np.empty(size + 1, dtype=_LD)
-    out[: top + 1] = _ln_fact
-    s = out[top]
-    c = _LD(0.0)
-    for i in range(logs.size):
-        t = logs[i]
-        tot = s + t
-        if abs(s) >= abs(t):
-            c += (s - tot) + t
-        else:
-            c += (t - tot) + s
-        s = tot
-        out[top + 1 + i] = s + c
-    _ln_fact = out
+    while _ln_fact.size <= n:
+        top = _ln_fact.size - 1
+        size = max(64, 2 * top)
+        logs = np.log(np.arange(top + 1, size + 1, dtype=_LD))
+        out = np.empty(size + 1, dtype=_LD)
+        out[: top + 1] = _ln_fact
+        s = out[top]
+        c = _LD(0.0)
+        for i in range(logs.size):
+            t = logs[i]
+            tot = s + t
+            if abs(s) >= abs(t):
+                c += (s - tot) + t
+            else:
+                c += (t - tot) + s
+            s = tot
+            out[top + 1 + i] = s + c
+        _ln_fact = out
 
 
 # The bound is a constant: the largest sweep (rates to n = 16384) uses 9 degrees.
@@ -230,15 +229,6 @@ def _inverse_weights(n: int, u: float, v: float) -> np.ndarray:
     return t**-u * (1.0 - t) ** -v
 
 
-@dataclass(frozen=True, eq=False)
-class BasisRow:
-    """One full row of the degree-n Bernstein basis at abscissa x."""
-
-    n: int
-    x: float
-    weights: np.ndarray
-
-
 def basis_value(n: int, k: int, x: float) -> float:
     """p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k), evaluated in log space."""
     n = _check_degree(n)
@@ -248,12 +238,11 @@ def basis_value(n: int, k: int, x: float) -> float:
     return float(_row(n, x, k, k)[0])
 
 
-def basis_row(n: int, x: float) -> BasisRow:
-    """All basis values at x as a BasisRow (non-negative, sums to 1)."""
-    n = _check_degree(n, 1)
-    w = _row(n, x)
+def basis_row(n: int, x: float) -> np.ndarray:
+    """p_{n,k}(x) for k = 0..n as a read-only array (non-negative, sums to 1)."""
+    w = _row(_check_degree(n, 1), x)
     w.flags.writeable = False
-    return BasisRow(n=n, x=x, weights=w)
+    return w
 
 
 def bernstein_apply(samples, x):

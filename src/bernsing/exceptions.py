@@ -13,9 +13,5 @@ class MissingExponent(ValueError):
     """An operation needs a nominal smoothness exponent (alpha0)."""
 
 
-class Inadmissible(ValueError):
-    """A second-difference stencil leaves [0,1] or hits the exclusion tube."""
-
-
 class Degenerate(ValueError):
     """Every candidate evaluation point of a sup was inadmissible."""

@@ -11,7 +11,6 @@ from .checks import (
     lemma6_sum,
     lemma_suite,
     operator_dump,
-    second_derivative_field,
     sequence_verdict,
 )
 from .config import DEFAULT_N_VALUES, DEFAULT_T_VALUES, ExperimentConfig

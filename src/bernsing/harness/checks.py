@@ -16,8 +16,8 @@ import numpy as np
 from ..basis import _blocks, _check_degree, _inverse_weights, _row
 from ..blending import TestFunction, bridge_p, fbar_d2, knots
 from ..exceptions import Degenerate, MissingExponent
-from ..moduli import ModulusConfig, quadrature_bound_ratio, modulus_curve
-from ..operator import bbar_apply, bbar_second, build_operator
+from ..moduli import T_MAX, ModulusConfig, quadrature_bound_ratio, modulus_curve
+from ..operator import bbar_apply, build_operator
 from ..weights import (
     EvalGrid,
     WeightParams,
@@ -37,7 +37,6 @@ __all__ = [
     "an_sum",
     "lemma6_sum",
     "error_field",
-    "second_derivative_field",
     "direct_check",
     "inverse_check",
     "lemma_suite",
@@ -119,13 +118,6 @@ def error_field(f: TestFunction, n: int, params: WeightParams, grid: EvalGrid) -
     return err
 
 
-def second_derivative_field(f: TestFunction, n: int, params: WeightParams,
-                            grid: EvalGrid) -> np.ndarray:
-    """|second derivative of the operator polynomial| on the grid."""
-    op = build_operator(f, n, params)
-    return np.abs(bbar_second(op, grid.points))
-
-
 def _scale_field(n: int, sw, x: np.ndarray) -> np.ndarray:
     """Per-x comparison scale delta_n(x) / (sqrt(n) phi(x))."""
     phi = np.maximum(step_weight(sw, x), 1e-300)
@@ -139,18 +131,18 @@ _TABLE_T_POINTS = 24
 
 def _tabulated_modulus(f, params, sw, grid, scales):
     """Monotone log-log interpolant of the modulus curve covering the
-    given scales (clipped into (0, 1/4])."""
+    given scales (clipped into (0, T_MAX])."""
     lo = max(min(float(s.min()) for s in scales) * 0.999, 1e-8)
-    lo = min(lo, 0.25)
-    # every scale clipped to 1/4 leaves a one-point table
-    tt = np.unique(np.geomspace(lo, 0.25, _TABLE_T_POINTS))
+    lo = min(lo, T_MAX)
+    # every scale clipped to T_MAX leaves a one-point table
+    tt = np.unique(np.geomspace(lo, T_MAX, _TABLE_T_POINTS))
     cfg = ModulusConfig(x_grid=grid, t_values=tuple(tt), h_steps=_TABLE_H_STEPS)
     curve = modulus_curve(f, params, sw, cfg)
     lt = np.log(tt)
     lc = np.log(np.maximum(curve, 1e-300))
 
     def lookup(s: np.ndarray) -> np.ndarray:
-        return np.exp(np.interp(np.log(np.clip(s, tt[0], 0.25)), lt, lc))
+        return np.exp(np.interp(np.log(np.clip(s, tt[0], T_MAX)), lt, lc))
 
     return lookup
 

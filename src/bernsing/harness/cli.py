@@ -11,6 +11,7 @@ import json
 import sys
 
 from ..exceptions import Degenerate
+from ..moduli import T_MAX
 from ..weights import StepWeight, WeightParams
 from .checks import direct_check, error_decay, inverse_check, lemma_suite, operator_dump
 from .config import ExperimentConfig
@@ -27,7 +28,7 @@ class UsageError(Exception):
 _SWEEPS = {
     "n": (int, lambda lo, hi: 1 <= lo <= hi and not (lo & (lo - 1) or hi & (hi - 1)),
           "1 <= min <= max, both powers of two"),
-    "t": (float, lambda lo, hi: 0.0 < lo <= hi <= 0.25, "0 < min <= max <= 0.25"),
+    "t": (float, lambda lo, hi: 0.0 < lo <= hi <= T_MAX, f"0 < min <= max <= {T_MAX}"),
 }
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..blending import knots
+from ..moduli import _check_t_values
 from ..weights import EvalGrid, StepWeight, WeightParams, refined_grid
 from .corpus import CORPUS_NAMES
 
@@ -35,10 +36,7 @@ class ExperimentConfig:
             raise ValueError("n_values must be strictly increasing")
         for n in self.n_values:
             knots(n, self.params.xi)  # raises InvalidDegree for unusable n
-        ts = list(self.t_values)
-        # NaN fails both comparisons
-        if not ts or ts != sorted(set(ts)) or not all(0.0 < t <= 0.25 for t in ts):
-            raise ValueError("t_values must be increasing and lie in (0, 1/4]")
+        _check_t_values(self.t_values)
 
     def make_grid(self) -> EvalGrid:
         return refined_grid(self.params, uniform=self.grid_density)

@@ -7,13 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blending import TestFunction
-from .exceptions import Degenerate, Inadmissible
+from .exceptions import Degenerate
 from .weights import EvalGrid, StepWeight, WeightParams, step_weight, wbar
 
 __all__ = [
     "ModulusConfig",
-    "second_difference",
-    "weighted_modulus",
     "modulus_curve",
     "quadrature_bound_ratio",
 ]
@@ -44,43 +42,27 @@ class ModulusConfig:
     def __post_init__(self):
         if not (self.h_steps >= 8 and float(self.h_steps).is_integer()):
             raise ValueError(f"h_steps must be an integer >= 8, got {self.h_steps!r}")
-        ts = np.asarray(self.t_values, dtype=float)
-        # NaN fails both comparisons
-        if ts.size == 0 or not ((ts > 0.0) & (ts <= T_MAX)).all():
-            raise ValueError(f"t_values must lie in (0, {T_MAX}]")
-        if ts.size > 1 and (np.diff(ts) <= 0).any():
-            raise ValueError("t_values must be strictly increasing")
+        _check_t_values(self.t_values)
+
+
+def _check_t_values(t_values) -> None:
+    """Raise ValueError unless the anchor scales are non-empty, strictly
+    increasing and in (0, T_MAX]."""
+    ts = np.asarray(t_values, dtype=float)
+    # NaN fails both comparisons
+    if ts.size == 0 or not ((ts > 0.0) & (ts <= T_MAX)).all():
+        raise ValueError(f"t_values must lie in (0, {T_MAX}]")
+    if (np.diff(ts) <= 0).any():
+        raise ValueError("t_values must be strictly increasing")
 
 
 def _admissible(x, off, xi, exclusion):
-    """True where the stencil x - off, x, x + off lies in [0,1] and, when
-    xi is given, x clears the exclusion tube (absolute radius
-    ``exclusion``) and the translates clear it widened to
-    REL_STEP_TUBE * off."""
-    ok = (x + off <= 1.0) & (x - off >= 0.0)
-    if xi is None:
-        return ok
+    """True where the stencil x - off, x, x + off lies in [0,1], x clears
+    the exclusion tube around xi (absolute radius ``exclusion``) and the
+    translates clear it widened to REL_STEP_TUBE * off."""
     tube = np.maximum(exclusion, REL_STEP_TUBE * off)
-    return (ok & (np.abs(x - xi) > exclusion)
+    return ((x + off <= 1.0) & (x - off >= 0.0) & (np.abs(x - xi) > exclusion)
             & (np.abs(x + off - xi) > tube) & (np.abs(x - off - xi) > tube))
-
-
-def second_difference(f: TestFunction, x: float, h: float, phi_at_x: float,
-                      xi: float | None = None, exclusion: float = 0.0) -> float:
-    """f(x + h*phi) - 2 f(x) + f(x - h*phi).
-
-    Raises Inadmissible when a stencil point leaves [0,1] or lands
-    inside the exclusion tube around xi (absolute radius ``exclusion``,
-    widened for the translates to REL_STEP_TUBE * h * phi).
-    """
-    if h <= 0.0 or phi_at_x < 0.0:
-        raise ValueError("h must be positive and phi_at_x non-negative")
-    off = h * phi_at_x
-    xp, xm = x + off, x - off
-    if not _admissible(x, off, xi, exclusion):
-        raise Inadmissible(
-            f"stencil {xm:.6g}..{xp:.6g} leaves [0,1] or hits the exclusion tube")
-    return float(f.eval(xp) - 2.0 * f.eval(x) + f.eval(xm))
 
 
 def _weighted_diff_max(f, params, sw, grid, h):
@@ -104,47 +86,26 @@ def _ladder(anchor: float, h_steps: int) -> np.ndarray:
     return anchor * ratio ** np.arange(h_steps)
 
 
-def _running_sup(f, params, sw, cfg, anchors):
-    """Yield, per anchor, the grid sup over every step in the ladders of
-    the anchors so far, or None while no (h, x) pair has been
-    admissible."""
-    best = None
-    for a in anchors:
-        for h in _ladder(a, cfg.h_steps):
+def modulus_curve(f: TestFunction, params: WeightParams, sw: StepWeight,
+                  cfg: ModulusConfig) -> np.ndarray:
+    """Grid sup over steps h <= t and abscissae x of
+    |wbar(x) (f(x + h phi(x)) - 2 f(x) + f(x - h phi(x)))| at every
+    anchor t in cfg.t_values.
+
+    The h grid at t is the union of the geometric ladders of t and of
+    every anchor below it, so the curve is non-decreasing in t by
+    construction and each ladder is evaluated once.  (h, x) pairs that
+    _admissible rejects are skipped; at the first anchor where every pair
+    so far was rejected the sup is undefined and Degenerate is raised.
+    """
+    curve, best = [], None
+    for t in cfg.t_values:
+        for h in _ladder(t, cfg.h_steps):
             m = _weighted_diff_max(f, params, sw, cfg.x_grid, h)
             if m is not None:
                 best = m if best is None else max(best, m)
-        yield best
-
-
-def weighted_modulus(f: TestFunction, params: WeightParams, sw: StepWeight,
-                     t: float, cfg: ModulusConfig) -> float:
-    """Grid sup over steps h <= t and abscissae x of
-    |wbar(x) (f(x + h phi(x)) - 2 f(x) + f(x - h phi(x)))|.
-
-    The h grid is the union of the geometric ladders of every anchor
-    scale < t and of t itself: the last entry of the modulus curve over
-    those anchors, so along cfg.t_values the result is non-decreasing
-    in t by construction.  Inadmissible (h, x) pairs are skipped; if
-    every pair is inadmissible the sup is undefined and Degenerate is
-    raised.
-    """
-    if not 0.0 < t <= T_MAX:
-        raise ValueError(f"t must lie in (0, {T_MAX}], got {t!r}")
-    *_, best = _running_sup(f, params, sw, cfg, [tv for tv in cfg.t_values if tv < t] + [t])
-    if best is None:
-        raise Degenerate(f"no admissible (h, x) pair at t={t!r}")
-    return best
-
-
-def modulus_curve(f: TestFunction, params: WeightParams, sw: StepWeight,
-                  cfg: ModulusConfig) -> np.ndarray:
-    """weighted_modulus at every anchor in cfg.t_values, sharing ladder
-    evaluations across anchors (each ladder is visited once)."""
-    curve = []
-    for tv, best in zip(cfg.t_values, _running_sup(f, params, sw, cfg, cfg.t_values)):
         if best is None:
-            raise Degenerate(f"no admissible (h, x) pair at t={tv!r}")
+            raise Degenerate(f"no admissible (h, x) pair at t={t!r}")
         curve.append(best)
     return np.array(curve)
 

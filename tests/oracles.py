@@ -139,17 +139,18 @@ def four_sum_values(f, n, xi):
     return vals
 
 
-def four_sum_apply(vals, n, x):
-    """Dot the four-sum values against an independently built basis row
-    (float binomials and plain powers; exact enough below n ~ 1000)."""
-    if x == 0.0:
-        return float(vals[0])
-    if x == 1.0:
-        return float(vals[-1])
+def four_sum_apply(vals, n, xs):
+    """Dot the four-sum values against independently built basis rows at
+    every abscissa in xs (float binomials and plain powers; exact enough
+    below n ~ 1000); x = 0 and x = 1 take the end values."""
+    xs = np.asarray(xs, dtype=float)
     ks = np.arange(n + 1, dtype=float)
     combs = np.array([float(math.comb(n, k)) for k in range(n + 1)])
-    row = combs * x**ks * (1.0 - x) ** (n - ks)
-    return float(np.dot(row, vals))
+    x = xs[:, None]
+    out = (combs * x**ks * (1.0 - x) ** (n - ks)) @ vals
+    out[xs == 0.0] = vals[0]
+    out[xs == 1.0] = vals[-1]
+    return out
 
 
 def central_first(g, x, h):

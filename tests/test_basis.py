@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from bernsing import basis
 from bernsing.basis import (
     _BLOCK_VALUES,
     _PART_VALUES,
@@ -73,16 +74,16 @@ class TestBasisValue:
 
 class TestBasisRow:
     def test_frozen_examples(self):
-        np.testing.assert_allclose(basis_row(1, 0.25).weights, [0.75, 0.25], rtol=1e-14)
-        np.testing.assert_allclose(basis_row(3, 0.0).weights, [1, 0, 0, 0], atol=0)
+        np.testing.assert_allclose(basis_row(1, 0.25), [0.75, 0.25], rtol=1e-14)
+        np.testing.assert_allclose(basis_row(3, 0.0), [1, 0, 0, 0], atol=0)
         np.testing.assert_allclose(
-            basis_row(4, 0.5).weights, np.array([1, 4, 6, 4, 1]) / 16.0, rtol=1e-14
+            basis_row(4, 0.5), np.array([1, 4, 6, 4, 1]) / 16.0, rtol=1e-14
         )
 
     def test_row_matches_basis_value(self, rng):
         for n in (7, 64, 511):
             x = float(rng.uniform(0.05, 0.95))
-            row = basis_row(n, x).weights
+            row = basis_row(n, x)
             ks = rng.integers(0, n + 1, size=12)
             for k in ks:
                 v = basis_value(n, int(k), x)
@@ -91,22 +92,22 @@ class TestBasisRow:
     def test_partition_of_unity_sweep(self):
         xs = np.linspace(0.0, 1.0, 1001)
         for n in (16, 64, 256):
-            err = max(abs(basis_row(n, float(x)).weights.sum() - 1.0) for x in xs)
+            err = max(abs(basis_row(n, float(x)).sum() - 1.0) for x in xs)
             assert err <= 1e-12
         xs = np.linspace(0.0, 1.0, 101)
         for n in (1024, 4096):
-            err = max(abs(basis_row(n, float(x)).weights.sum() - 1.0) for x in xs)
+            err = max(abs(basis_row(n, float(x)).sum() - 1.0) for x in xs)
             assert err <= 1e-12
 
     def test_zero_pattern(self):
         # interior weights are strictly positive while float64 can
         # represent them (underflow sets in past n ~ 1024 at x = 1/2)
         for n in (16, 256, 1024):
-            w = basis_row(n, 0.5).weights
+            w = basis_row(n, 0.5)
             assert (w > 0.0).all()
-        w = basis_row(9, 0.0).weights
+        w = basis_row(9, 0.0)
         assert w[0] == 1.0 and (w[1:] == 0.0).all()
-        w = basis_row(9, 1.0).weights
+        w = basis_row(9, 1.0)
         assert w[-1] == 1.0 and (w[:-1] == 0.0).all()
 
     def test_symmetry(self, rng):
@@ -116,14 +117,14 @@ class TestBasisRow:
         for _ in range(20):
             n = int(rng.integers(2, 129))
             x = float(rng.uniform(0.2, 0.8))
-            a = basis_row(n, x).weights
-            b = basis_row(n, 1.0 - x).weights[::-1]
+            a = basis_row(n, x)
+            b = basis_row(n, 1.0 - x)[::-1]
             np.testing.assert_allclose(a, b, rtol=1e-13)
         for _ in range(20):
             n = int(rng.integers(2, 300))
             x = float(rng.uniform(0.01, 0.99))
-            a = basis_row(n, x).weights
-            b = basis_row(n, 1.0 - x).weights[::-1]
+            a = basis_row(n, x)
+            b = basis_row(n, 1.0 - x)[::-1]
             live = b > 1e-150
             np.testing.assert_allclose(a[live], b[live], rtol=1e-11)
             np.testing.assert_allclose(a[~live], b[~live], atol=1e-150)
@@ -132,7 +133,13 @@ class TestBasisRow:
         for _ in range(10):
             n = int(rng.integers(1, 2000))
             x = float(rng.uniform(0, 1))
-            assert (basis_row(n, x).weights >= 0.0).all()
+            assert (basis_row(n, x) >= 0.0).all()
+
+    def test_read_only(self):
+        w = basis_row(8, 0.3)
+        assert w.shape == (9,) and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
 
 
 class TestLogBinomialCache:
@@ -141,6 +148,20 @@ class TestLogBinomialCache:
         for n in range(1000, 1000 + bound + 8):
             basis_row(n, 0.3)
         assert _binom_log_row.cache_info().currsize == bound
+
+
+class TestLogFactorialTable:
+    def test_history_free(self, monkeypatch):
+        # the compensation restarts at fixed segment starts, so a table
+        # grown through other sizes has the bits of one built at once
+        def build(sizes):
+            monkeypatch.setattr(basis, "_ln_fact", np.zeros(2, dtype=np.longdouble))
+            for n in sizes:
+                basis._extend_ln_fact(n)
+            return basis._ln_fact
+
+        grown = build((64, 100, 1000, 3000, 16384))
+        assert np.array_equal(grown[:16385], build((16384,))[:16385])
 
 
 class TestBernsteinApply:
@@ -212,7 +233,7 @@ class TestArbitraryPrecisionOracle:
     @pytest.mark.parametrize("x", [0.013, 0.37, 0.5])
     def test_row_sum_and_apply(self, n, x):
         exact = mp_row(n, x)
-        row = basis_row(n, x).weights
+        row = basis_row(n, x)
         samples = np.cos(0.37 * np.arange(n + 1))
         with mpmath.workdps(40):
             rel = max(abs(mpmath.mpf(float(w)) - p) / p
@@ -528,7 +549,7 @@ class TestFloatValuedDegree:
     # a float-valued integer degree used to reach np.empty in the
     # log-factorial table and raise TypeError
     CASES = {
-        "basis_row": lambda n: basis_row(n, 0.3).weights,
+        "basis_row": lambda n: basis_row(n, 0.3),
         "basis_value": lambda n: basis_value(n, 3, 0.3),
         "central_moment_sum": lambda n: central_moment_sum(n, 1.0, 0.3),
         "inverse_moment_sum": lambda n: inverse_moment_sum(n, 1, 1, 0.3),
@@ -540,9 +561,6 @@ class TestFloatValuedDegree:
     def test_matches_int_degree(self, name):
         got, want = self.CASES[name](64.0), self.CASES[name](64)
         assert np.array_equal(got, want)
-
-    def test_basis_row_keeps_an_int(self):
-        assert type(basis_row(64.0, 0.3).n) is int
 
 
 class TestBlasThreadDefault:

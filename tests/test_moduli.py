@@ -6,21 +6,20 @@ import pytest
 from bernsing import (
     Degenerate,
     EvalGrid,
-    Inadmissible,
     ModulusConfig,
     StepWeight,
     TestFunction,
     WeightParams,
     quadrature_bound_ratio,
     modulus_curve,
-    second_difference,
     step_weight,
     wbar,
-    weighted_modulus,
 )
+from bernsing.harness import ExperimentConfig
 from bernsing.harness.checks import sequence_verdict
 from bernsing.harness.corpus import corpus
 from bernsing.harness.rates import fit_rate
+from bernsing.moduli import T_MAX, _admissible
 
 T_LADDER = tuple(2.0**-k for k in range(9, 2, -1))
 
@@ -29,90 +28,103 @@ def _cfg(grid, ts=T_LADDER, h_steps=16):
     return ModulusConfig(x_grid=grid, t_values=ts, h_steps=h_steps)
 
 
+def _point(x):
+    """A one-abscissa grid: the curve is then the largest weighted
+    second difference at x over the ladders."""
+    return EvalGrid(points=np.array([x]), exclusion_radius=1e-12)
+
+
 class TestSecondDifference:
-    def test_affine_vanishes(self, params):
-        # exactly zero when the affine values themselves are exact
+    def test_affine_vanishes(self, params, sw):
         ident = TestFunction(eval=lambda t: np.asarray(t, float), name="identity")
-        assert second_difference(ident, 0.5, 0.5, 0.5) == 0.0
-        f = corpus("affine", params)
-        assert abs(second_difference(f, 0.5, 0.5, 0.5)) <= 1e-15
-        assert abs(second_difference(f, 0.41, 0.2, 0.37)) <= 1e-14
+        for f in (ident, corpus("affine", params)):
+            for x in (0.25, 0.41, 0.7):
+                curve = modulus_curve(f, params, sw, _cfg(_point(x)))
+                assert curve.max() <= 1e-14
 
-    def test_square_identity(self, params):
+    def test_square_identity(self, params, sw):
+        # f(x + o) - 2 f(x) + f(x - o) = 2 o^2 grows with the step, so
+        # each anchor's sup is taken at the top of its own ladder, h = t
         f = corpus("quadratic", params)
-        for x, h, phi in ((0.5, 0.1, 0.4), (0.3, 0.22, 0.17)):
-            assert second_difference(f, x, h, phi) == pytest.approx(
-                2.0 * h * h * phi * phi, rel=1e-12
-            )
+        ts = (0.0625, 0.125)
+        for x in (0.3, 0.7):
+            curve = modulus_curve(f, params, sw, _cfg(_point(x), ts=ts))
+            want = [wbar(params, x) * 2.0 * (t * step_weight(sw, x)) ** 2 for t in ts]
+            np.testing.assert_allclose(curve, want, rtol=1e-12)
 
-    def test_kink_formula(self):
+    def test_kink_formula(self, params):
         f = TestFunction(eval=lambda t: np.abs(np.asarray(t, float) - 0.5), name="kink")
-        h, phi = 0.1, 0.5
-        eps = 0.02  # less than h*phi = 0.05
+        eps, t = 0.02, 0.05  # the top step h * phi = t exceeds eps
         x = 0.5 + eps
+        curve = modulus_curve(f, params, StepWeight(0.0, 0.0), _cfg(_point(x), ts=(t,)))
         # direct evaluation: (eps+h*phi) - 2*eps + (h*phi-eps)
-        direct = (eps + h * phi) - 2.0 * eps + (h * phi - eps)
-        assert second_difference(f, x, h, phi) == pytest.approx(direct, rel=1e-13)
-        assert direct == pytest.approx(2.0 * (h * phi - eps), rel=1e-13)
+        direct = (eps + t) - 2.0 * eps + (t - eps)
+        assert direct == pytest.approx(2.0 * (t - eps), rel=1e-13)
+        assert curve[0] == pytest.approx(wbar(params, x) * direct, rel=1e-13)
 
-    def test_inadmissible_outside(self, params):
-        f = corpus("quadratic", params)
-        with pytest.raises(Inadmissible):
-            second_difference(f, 0.95, 0.5, 0.5)
+    def test_inadmissible_outside(self):
+        assert _admissible(0.3, 0.25, 0.9, 0.0)
+        assert not _admissible(0.95, 0.25, 0.5, 0.0)
+        assert not _admissible(0.05, 0.25, 0.5, 0.0)
 
-    def test_inadmissible_tube(self, params):
-        f = corpus("inner-root", params)
-        with pytest.raises(Inadmissible):
-            # translate lands exactly on the singularity
-            second_difference(f, 0.4, 0.2, 0.5, xi=0.5, exclusion=1e-12)
+    def test_inadmissible_tube(self):
+        # translate lands exactly on the singularity
+        assert not _admissible(0.4, 0.1, 0.5, 1e-12)
+        assert _admissible(0.4, 0.1, 0.6, 1e-12)
+        # x itself inside the exclusion tube
+        assert not _admissible(0.5, 0.1, 0.5, 1e-12)
 
 
 class TestWeightedModulus:
     def test_affine_negligible(self, params, sw, light_grid):
         f = corpus("affine", params)
-        val = weighted_modulus(f, params, sw, 0.125, _cfg(light_grid))
-        assert val <= 1e-13
+        curve = modulus_curve(f, params, sw, _cfg(light_grid))
+        assert curve.max() <= 1e-13
 
     def test_monotone_in_t_by_construction(self, params, sw, light_grid):
         f = corpus("inner-cusp", params, 1.5)
-        cfg = _cfg(light_grid)
-        vals = [weighted_modulus(f, params, sw, t, cfg) for t in cfg.t_values]
-        assert all(a <= b for a, b in zip(vals, vals[1:]))
+        curve = modulus_curve(f, params, sw, _cfg(light_grid))
+        assert (np.diff(curve) >= 0.0).all()
+        # every step of the second ladder leaves [0,1] at this point, so
+        # its entry is the sup carried over from the first ladder
+        g = corpus("quadratic", params)
+        cfg = _cfg(_point(0.998), ts=(0.001, 0.25), h_steps=8)
+        curve = modulus_curve(g, params, StepWeight(0.0, 0.0), cfg)
+        assert curve[0] > 0.0 and curve[1] == curve[0]
 
     def test_curve_matches_pointwise_calls(self, params, sw, light_grid):
+        # the curve over the first k anchors is the first k entries of
+        # the full curve, bit for bit: an entry depends on no later anchor
         f = corpus("inner-cusp", params, 1.0)
-        cfg = _cfg(light_grid, ts=T_LADDER[:4], h_steps=8)
-        curve = modulus_curve(f, params, sw, cfg)
-        single = [weighted_modulus(f, params, sw, t, cfg) for t in cfg.t_values]
-        np.testing.assert_allclose(curve, single, rtol=0, atol=0)
+        full = modulus_curve(f, params, sw, _cfg(light_grid, ts=T_LADDER[:4], h_steps=8))
+        for k in range(1, 4):
+            prefix = modulus_curve(f, params, sw, _cfg(light_grid, ts=T_LADDER[:k], h_steps=8))
+            assert np.array_equal(prefix, full[:k])
 
     def test_power_of_two_scaling_exact(self, params, sw, light_grid):
         f = corpus("inner-cusp", params, 1.5)
         cfg = _cfg(light_grid, ts=T_LADDER[:4], h_steps=8)
+        base = modulus_curve(f, params, sw, cfg)
         for c in (2.0, -4.0):
             g = TestFunction(eval=lambda t, c=c: c * f.eval(t), name="scaled")
-            a = weighted_modulus(g, params, sw, 0.0625, cfg)
-            b = abs(c) * weighted_modulus(f, params, sw, 0.0625, cfg)
-            assert a == b
+            assert np.array_equal(modulus_curve(g, params, sw, cfg), abs(c) * base)
 
     def test_general_scaling(self, params, sw, light_grid):
         f = corpus("inner-cusp", params, 1.0)
         cfg = _cfg(light_grid, ts=T_LADDER[:4], h_steps=8)
         g = TestFunction(eval=lambda t: 3.0 * f.eval(t), name="x3")
-        a = weighted_modulus(g, params, sw, 0.0625, cfg)
-        b = 3.0 * weighted_modulus(f, params, sw, 0.0625, cfg)
-        assert a == pytest.approx(b, rel=1e-13)
+        np.testing.assert_allclose(modulus_curve(g, params, sw, cfg),
+                                   3.0 * modulus_curve(f, params, sw, cfg), rtol=1e-13)
 
     def test_square_attains_bound(self, params, sw, grid):
         # sup of wbar * 2 h^2 phi^2 at h = t, maximised over the grid
         f = corpus("quadratic", params)
-        cfg = _cfg(grid)
+        curve = dict(zip(T_LADDER, modulus_curve(f, params, sw, _cfg(grid))))
         bound_density = wbar(params, grid.points) * step_weight(sw, grid.points) ** 2
         for t in (0.125, 0.03125):
-            val = weighted_modulus(f, params, sw, t, cfg)
             bound = 2.0 * t * t * float(np.max(bound_density))
-            assert val <= bound * (1.0 + 1e-9)
-            assert val >= 0.98 * bound
+            assert curve[t] <= bound * (1.0 + 1e-9)
+            assert curve[t] >= 0.98 * bound
 
     def test_slope_recovers_exponent(self, params, sw, grid):
         # inner-root: nominal exponent alpha/2
@@ -126,14 +138,19 @@ class TestWeightedModulus:
         # leaves [0,1]
         g = EvalGrid(points=np.array([1.0 - 1e-8]), exclusion_radius=1e-12)
         f = corpus("quadratic", params)
-        cfg = ModulusConfig(x_grid=g, t_values=(0.125,), h_steps=8)
-        with pytest.raises(Degenerate):
-            weighted_modulus(f, params, StepWeight(0.0, 0.0), 0.125, cfg)
+        cfg = ModulusConfig(x_grid=g, t_values=(0.0625, 0.125), h_steps=8)
+        with pytest.raises(Degenerate, match="t=0.0625"):
+            modulus_curve(f, params, StepWeight(0.0, 0.0), cfg)
 
     def test_t_range_validated(self, params, sw, light_grid):
-        f = corpus("quadratic", params)
-        with pytest.raises(ValueError):
-            weighted_modulus(f, params, sw, 0.3, _cfg(light_grid))
+        # the modulus and the experiment configuration share one rule
+        for bad in ((0.3,), (0.0,), (), (0.125, 0.0625), (0.125, 0.125)):
+            with pytest.raises(ValueError) as mod:
+                _cfg(light_grid, ts=bad)
+            with pytest.raises(ValueError) as exp:
+                ExperimentConfig(params=params, sw=sw, t_values=bad)
+            assert str(mod.value) == str(exp.value)
+        assert _cfg(light_grid, ts=(T_MAX,)).t_values == (T_MAX,)
 
     def test_config_validation(self, light_grid):
         with pytest.raises(ValueError):

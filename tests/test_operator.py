@@ -18,7 +18,7 @@ from bernsing import (
     wbar,
     weighted_sup_norm,
 )
-from bernsing.harness.checks import kendall_tau, second_derivative_field, sequence_verdict
+from bernsing.harness.checks import kendall_tau, sequence_verdict
 from bernsing.harness.corpus import corpus
 
 from oracles import five_point_second, four_sum_operator
@@ -200,8 +200,8 @@ class TestNormBounds:
         nw2_quad = float(np.max(w * phi2 * np.abs(fquad.d2(x))))
         t1, t2a, t2b = [], [], []
         for n in (64, 256, 1024):
-            b2r = second_derivative_field(froot, n, params, light_grid)
-            b2q = second_derivative_field(fquad, n, params, light_grid)
+            b2r = np.abs(bbar_second(build_operator(froot, n, params), light_grid.points))
+            b2q = np.abs(bbar_second(build_operator(fquad, n, params), light_grid.points))
             t1.append(float(np.max(w * b2r)) / (n * n * nw_root))
             t2a.append(float(np.max(w * phi2 * b2r)) / (n * nw_root))
             t2b.append(float(np.max(w * phi2 * b2q)) / nw2_quad)
@@ -222,7 +222,7 @@ class TestNormBounds:
         for lam in (0.0, 0.5, 1.0):
             seq = []
             for n in (64, 256, 1024):
-                b2 = second_derivative_field(f, n, params, light_grid)[inner]
+                b2 = np.abs(bbar_second(build_operator(f, n, params), light_grid.points))[inner]
                 bound = n * np.maximum(n ** (1.0 - lam), vp ** (2.0 * (lam - 1.0))) * nwf
                 seq.append(float(np.max(w * vp ** (2.0 * lam) * b2 / bound)))
             assert all(np.isfinite(seq))
