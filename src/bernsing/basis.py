@@ -16,8 +16,10 @@ each edge takes a fixed four Newton steps from the Hoeffding radius
 sqrt(375 n), so it costs O(1) per block and never widens the window.
 
 A large block's elementwise work is split by rows into one part per
-usable CPU, each on a thread (``taskset`` restricts them); an entry goes
-through the same operations in the same order in any part: no bit moves.
+usable CPU, each on a thread (``taskset`` restricts them), and each part
+assembles its rows a cache-sized tile at a time in two small buffers; an
+entry goes through the same operations in the same order in any part or
+tile: no bit moves.
 """
 from __future__ import annotations
 
@@ -79,11 +81,11 @@ def _binom_log_row(n: int) -> np.ndarray:
     return row
 
 
-# Values per block, and at least per part where a block is split by rows.
-# The rows per block follow the full index width even though only a
-# window of it is assembled, and with one BLAS thread the size no longer
-# buys gemv threading: it is kept because the last bits of a
-# bernstein_apply value depend on the block shape its gemv sees.
+# Values per block: it only pins the block shape that bernstein_apply's
+# gemv sees, on which the last bits of its values depend; the rows per
+# block follow the full index width though only a window is assembled.
+# _PART_VALUES: values at least per part where a block is split by rows,
+# and about per tile of a part's longdouble assembly.
 _BLOCK_VALUES = 1_000_000
 _PART_VALUES = 1 << 15
 
@@ -163,8 +165,8 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
     """Yield (rows, block) with block[i, j] = p_{n, klo+j}(x[rows][i]).
 
     x is a 1-d float64 array in [0,1].  Rows come _BLOCK_VALUES values
-    at a time, and every block is written into one workspace, so a block
-    is only valid until the next one is requested.  With 0**0 = 1 the
+    at a time, and every block is written into one output array, so a
+    block is only valid until the next one is requested.  With 0**0 = 1 the
     rows at x = 0 and x = 1 are unit vectors (zero outside the index
     window).
 
@@ -180,10 +182,7 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
     nk = n - k
     lrow = _binom_log_row(n)[klo : khi + 1]
     step = max(1, _BLOCK_VALUES // k.size)
-    m = min(step, x.size)
-    # flat workspaces, reshaped per block to its (rows, window) shape
-    ex1, tmp1 = np.empty(m * k.size, dtype=_LD), np.empty(m * k.size, dtype=_LD)
-    out = np.empty((m, k.size))
+    out = np.empty((min(step, x.size), k.size))
     for a in range(0, x.size, step):
         rows = slice(a, min(a + step, x.size))
         xb = x[rows]
@@ -192,23 +191,27 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
         lo = max(klo, math.floor(n * xmin - _zero_reach(n, 1.0 - xmin, xmin)))
         hi = min(khi, math.ceil(n * xmax + _zero_reach(n, xmax, 1.0 - xmax)))
         j0, j1 = lo - klo, max(lo, hi + 1) - klo
-        shape = (xb.size, j1 - j0)
-        e = ex1[: xb.size * shape[1]].reshape(shape)
-        t = tmp1[: e.size].reshape(shape)
+        width = j1 - j0
+        tile = max(1, _PART_VALUES // max(width, 1))
         xl = xb.astype(_LD)
 
         def part(r):
+            # the part's rows, a tile of about _PART_VALUES values at a time
+            e = np.empty((min(tile, r.stop - r.start), width), dtype=_LD)
+            t = np.empty_like(e)
             # a thread starts from numpy's default error state
             with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
                 o[r, :j0] = o[r, j1:] = 0.0
-                er, tr, ow = e[r], t[r], o[r, j0:j1]
-                np.multiply(np.log(xl[r])[:, None], k[j0:j1], out=er)
-                np.add(lrow[j0:j1], er, out=er)
-                np.multiply(np.log1p(-xl[r])[:, None], nk[j0:j1], out=tr)
-                np.add(er, tr, out=er)
-                ow[...] = er
-                np.exp(ow, out=ow)
-        _in_parts(part, xb.size, e.size)
+                for b in range(r.start, r.stop, tile):
+                    s = slice(b, min(b + tile, r.stop))
+                    er, tr, ow = e[: s.stop - b], t[: s.stop - b], o[s, j0:j1]
+                    np.multiply(np.log(xl[s])[:, None], k[j0:j1], out=er)
+                    np.add(lrow[j0:j1], er, out=er)
+                    np.multiply(np.log1p(-xl[s])[:, None], nk[j0:j1], out=tr)
+                    np.add(er, tr, out=er)
+                    ow[...] = er
+                    np.exp(ow, out=ow)
+        _in_parts(part, xb.size, xb.size * width)
         # the log-space form leaves 0 * -inf = NaN where 0**0 = 1 is
         # meant; every other entry of an endpoint row is exp(-inf) = 0
         if lo == 0:

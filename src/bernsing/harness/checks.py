@@ -276,7 +276,7 @@ def _sweep(cfg, x, terms: dict) -> dict:
     """
     best = np.empty((len(terms), len(cfg.n_values)))
     for j, n in enumerate(cfg.n_values):
-        # no block outlives the comprehension, so the workspace of
+        # no block outlives the comprehension, so the output block of
         # degree n is freed before that of the next degree is allocated
         best[:, j] = np.max([[_term_max(n, rows, block, *t) for t in terms.values()]
                              for rows, block in _blocks(n, x)], axis=0)
@@ -292,11 +292,12 @@ def _verdict(name: str, seqs: dict) -> LemmaResult:
     return LemmaResult(name, "pass" if ok else "fail", max(map(max, seqs.values())), detail)
 
 
-# rows per |k - n x|^g weight matrix in _moment_ratio.  A cold `lemmas`
-# run peaks at 70.1 MiB (2 vCPU, numpy 2.4); one matrix per block
-# (976 x 1025 at n = 1024) raises that to 85.0 MiB and 64 rows to 70.7,
-# while 16 rows leave it at 70.1.  Each row's dot product reads only
-# that row, so the group size changes no bit.
+# rows per |k - n x|^g weight matrix in _moment_ratio.  A fresh process
+# running `lemmas --xi 0.5 --alpha 1` peaks at 44.0 MiB RSS (median of 5,
+# 2 vCPU, numpy 2.4); one matrix per block (976 x 1025 at n = 1024)
+# raises that to 57.2 MiB, while 8, 32 and 64 rows leave it at 44.0 and
+# move its wall time only within the run-to-run spread.  Each row's dot
+# product reads only that row, so the group size changes no bit.
 _ROW_GROUP = 16
 
 

@@ -182,7 +182,9 @@ def run_cli(argv) -> int:
     except OSError as e:
         sys.stderr.write(f"error: cannot write the output: {e}\n")
         return 2
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:
+        # a MemoryError is an array too large for this machine, such as
+        # the grid of an oversize --grid: a configuration error
         sys.stderr.write(f"error: {e}\n")
         return 2
     return 0 if ok else 1

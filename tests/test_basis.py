@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -401,6 +402,43 @@ class TestRowSplit:
                 assert starts[0] - before == count - 1
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n", [1024, 16384, 65536])
+    @pytest.mark.parametrize("tile", [1, 3, 7])
+    @pytest.mark.parametrize("window", ["full", "inner", "one"])
+    def test_any_tile_size_gives_the_full_width_bits(self, n, tile, window, cpus, monkeypatch):
+        # x = 0 and x = 1 stretch the block's window over all of klo..khi,
+        # so _PART_VALUES = tile * width makes tiles of `tile` rows; x = 0
+        # and x = 1 lie in different tiles.  The part cuts fall inside a
+        # 7-row (n = 1024, 16384) or 3-row (n = 65536, 2 parts) tile grid
+        # over the whole block.  "inner" is inverse_moment_sum's window,
+        # "one" basis_value's.
+        klo, khi = {"full": (0, n), "inner": (1, n - 1), "one": (n // 3, n // 3)}[window]
+        xs = self._abscissae(n)
+        want = full_width_block(n, xs, klo, khi).view(np.uint64)
+        monkeypatch.setattr(basis, "_PART_VALUES", tile * (khi - klo + 1))
+        for count in (1, 2, 7):
+            cpus(count)
+            (rows, got), = _blocks(n, xs, klo, khi)
+            assert rows == slice(0, xs.size)
+            assert (got.view(np.uint64) == want).all(), count
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_apply_peak_memory_is_the_block_and_tiles(self, count, cpus, grid):
+        # the longdouble assembly holds two tiles of about _PART_VALUES
+        # values per part (512 KiB each), not two block-sized workspaces
+        n = 16384
+        s = np.cos(0.37 * np.arange(n + 1))
+        _binom_log_row(n)  # the cached table is not the call's working memory
+        block = min(_BLOCK_VALUES // (n + 1), grid.points.size) * (n + 1) * 8
+        cpus(count)
+        tracemalloc.start()
+        try:
+            bernstein_apply(s, grid.points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= block + 4 * 2**20, (peak, block)
 
     def test_small_blocks_start_no_thread(self, cpus, starts):
         cpus(7)

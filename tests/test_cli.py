@@ -227,6 +227,17 @@ class TestConfigFile:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversize_grid_is_a_usage_error(self, tmp_path, capsys):
+        # numpy's MemoryError used to escape as a traceback with exit 1.
+        # 10**15 points (8e15 bytes) exceed the address space, so the
+        # allocation fails at once whatever the overcommit policy.
+        out = tmp_path / "r.csv"
+        code = run_cli(["rates", "--xi", "0.5", "--alpha", "1", "--n", "64:128",
+                        "--grid", str(10**15), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
 
 class TestDumpOperator:
     def test_csv_matches_library(self, params, tmp_path):
