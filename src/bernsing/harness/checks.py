@@ -241,15 +241,15 @@ def inverse_check(cfg: ExperimentConfig) -> RateReport:
     return _report(rows, fit, spread, ok, SLOPE_TOL)
 
 
-def _per_point(fn, xs) -> np.ndarray:
-    """fn at every abscissa as a scalar call.  numpy's vectorised pow
-    can round differently from the scalar one in the last bit, and the
-    printed constants would move with it.  On an AVX-512 host (numpy
-    2.4, SIMD pow) the array and the scalar call differ on the refined
-    grids of 41 xi in [0.3, 0.7]: varphi^3 at 7,901 and t^-0.5 at 7,960
-    of 139,686 abscissae in [0.1, 0.9], and wbar at 28,663 of 1,070,832
-    (alpha in 0.5, 1, ..., 3)."""
-    return np.array([fn(t) for t in xs])
+def _pow(base: np.ndarray, p: float) -> np.ndarray:
+    """base ** p one element at a time, by libm pow on Python floats.
+    numpy's array pow can round the last bit differently, which would
+    move the printed constants: on an AVX-512 host (numpy 2.4, SIMD pow),
+    over the refined grids of 41 xi in [0.3, 0.7], it differs from the
+    scalar calls for wbar at 28,663 of 1,070,832 abscissae (alpha in 0.5,
+    1, ..., 3) and for varphi^3 and t^-0.5 at 7,901 and 7,960 of 139,686
+    in [0.1, 0.9]; this form at none.  Only the pow needs to be scalar."""
+    return np.array([b**p for b in base.tolist()])
 
 
 def _term_max(n: int, rows: slice, block: np.ndarray, span: slice, window, term) -> float:
@@ -293,22 +293,22 @@ def _verdict(name: str, seqs: dict) -> LemmaResult:
 
 
 # rows per |k - n x|^g weight matrix in _moment_ratio.  A fresh process
-# running `lemmas --xi 0.5 --alpha 1` peaks at 44.0 MiB RSS (median of 5,
+# running `lemmas --xi 0.5 --alpha 1` peaks at 42.6 MiB RSS (median of 5,
 # 2 vCPU, numpy 2.4); one matrix per block (976 x 1025 at n = 1024)
-# raises that to 57.2 MiB, while 8, 32 and 64 rows leave it at 44.0 and
-# move its wall time only within the run-to-run spread.  Each row's dot
-# product reads only that row, so the group size changes no bit.
+# raises that to 55.1 MiB, while 8, 32 and 64 rows stay within 0.2 MiB
+# of 42.6 and move its wall time only within the run-to-run spread.  Each
+# row's dot product reads only that row, so the group size changes no bit.
 _ROW_GROUP = 16
 
 
-def _moment_ratio(xs, g, e, num):
-    """Term num(x) sum_k p_{n,k}(x) |k - n x|^g / (n^e varphi(x)^g).
+def _moment_ratio(xs, phi, g, e, num):
+    """Term num(x) sum_k p_{n,k}(x) |k - n x|^g / (n^e phi^g), phi = varphi(xs).
 
     np.vecdot sums each row with the same dot kernel as a 1-d np.dot.
     A matrix product would sum in another order, and ratios that equal 1
     to within rounding (lemma 4 at gamma = 2) would change their trend
     statistic."""
-    den = _per_point(lambda t: varphi(float(t)) ** g, xs)
+    den = _pow(phi, g)
 
     def term(n, rows, k, block):
         t = xs[rows, None]
@@ -327,13 +327,13 @@ def _basis_lemmas(cfg, grid, f) -> dict:
     whole = slice(0, x.size)
     inner = slice(int(np.searchsorted(x, 0.1)), int(np.searchsorted(x, 0.9, "right")))
     xs, a = x[inner], cfg.params.alpha
-    wb = _per_point(lambda t: wbar(cfg.params, float(t)), x)
+    phi, wb = varphi(xs), _pow(np.abs(x - cfg.params.xi), a)
     w = wbar(cfg.params, x)
     nwf = weighted_sup_norm(f, cfg.params, grid)
     samples = {n: build_operator(f, n, cfg.params).fbar_samples for n in cfg.n_values}
 
     def inverse(u, v):
-        den = _per_point(lambda t: t**-u * (1.0 - t) ** -v, xs)
+        den = _pow(xs, -u) * _pow(1.0 - xs, -v)
         return lambda n, rows, k, block: (
             np.vecdot(block, _inverse_weights(n, u, v)) / den[rows])
 
@@ -346,10 +346,11 @@ def _basis_lemmas(cfg, grid, f) -> dict:
         whole, full, lambda n, rows, k, block: w[rows] * np.abs(block @ samples[n]) / nwf)
     for g in (1.0, 2.0, 3.0):
         terms["lemma4", f"gamma={g:g}"] = (
-            inner, full, _moment_ratio(xs, g, g / 2, np.ones(xs.size)))
+            inner, full, _moment_ratio(xs, phi, g, g / 2, np.ones(xs.size)))
     terms["lemma5", "mass"] = (whole, near, lambda n, rows, k, block: wb[rows] * block.sum(1))
     for b in (1.0, 2.0):
-        terms["lemma6", f"beta={b:g}"] = (inner, near, _moment_ratio(xs, b, (b - a) / 2, wb[inner]))
+        terms["lemma6", f"beta={b:g}"] = (
+            inner, near, _moment_ratio(xs, phi, b, (b - a) / 2, wb[inner]))
     seqs = {}
     for (name, label), seq in _sweep(cfg, x, terms).items():
         seqs.setdefault(name, {})[label] = seq

@@ -131,8 +131,12 @@ def refined_grid(
 def weighted_sup_norm(f: "TestFunction", params: WeightParams, grid: EvalGrid) -> float:
     """max over the grid of |wbar(x) f(x)|, the grid analogue of the
     weighted sup-norm (the limit value at xi itself is 0 and the grid
-    never contains xi)."""
-    vals = wbar(params, grid.points) * np.asarray(f.eval(grid.points), dtype=float)
+    never contains xi).  An overflow or an invalid operation is a ValueError."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            vals = wbar(params, grid.points) * np.asarray(f.eval(grid.points), dtype=float)
+    except FloatingPointError as e:
+        raise ValueError(f"evaluation of {f.name or 'f'} failed on the grid: {e}") from None
     if np.isnan(vals).any():
         raise ValueError(f"evaluation of {f.name or 'f'} failed on the grid")
     return float(np.max(np.abs(vals)))

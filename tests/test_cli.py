@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {named}" in err
 
+    def test_overflow_is_one_error_line(self, capsys):
+        # inner-root is |x - xi|^(-alpha/2): at alpha = 500 it overflows
+        # near xi, and the weighted values are 0 * inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["lemmas", "--xi", "0.5", "--alpha", "500"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: evaluation of inner-root failed on the grid: overflow")
+        assert err.count("\n") == 1
+
     def test_unwritable_out(self, capsys):
         args = ["dump-operator", *BASE, "--n", "64:64", "--out", "/nonexistent/dir/x.csv"]
         assert run_cli(args) == 2
@@ -127,10 +138,12 @@ class TestDeterminism:
         assert run_cli(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_lemmas_match_reference(self, tmp_path):
+    @pytest.mark.parametrize("xi", ["0.47", "0.50", "0.53"])
+    def test_lemmas_match_reference(self, xi, tmp_path):
+        # the weight |x - xi|^alpha of lemmas 5 and 6 depends on xi
         out = tmp_path / "lemmas.csv"
-        assert run_cli(["lemmas", "--xi", "0.50", "--alpha", "1", "--out", str(out)]) == 0
-        assert out.read_bytes() == (REFERENCE / "lemma-sweep" / "xi-0.50.csv").read_bytes()
+        assert run_cli(["lemmas", "--xi", xi, "--alpha", "1", "--out", str(out)]) == 0
+        assert out.read_bytes() == (REFERENCE / "lemma-sweep" / f"xi-{xi}.csv").read_bytes()
 
     def test_direct_matches_reference(self, tmp_path):
         out = tmp_path / "direct.csv"

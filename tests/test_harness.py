@@ -15,6 +15,7 @@ from bernsing import (
     build_operator,
     central_moment_sum,
     inverse_moment_sum,
+    refined_grid,
     varphi,
     wbar,
     weighted_sup_norm,
@@ -270,6 +271,33 @@ class TestLemmaSweepsMatchScalarSums:
                     / nwf for n in cfg.n_values]
             assert res["lemma2"].constant == max(seq2), name
             assert res["lemma2"].detail == f"{name}: {sequence_verdict(seq2)[1]}"
+
+
+class TestScalarPow:
+    def test_matches_the_scalar_calls(self):
+        # the lemma sweep raises whole arrays of bases to a power with
+        # checks._pow; every value must equal the scalar call it stands
+        # for, bit for bit, where numpy's array pow may round otherwise.
+        # Each xi of the 41 takes the next exponent of each cycle.
+        alphas = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+        gammas = (1.0, 2.0, 3.0)
+        uvs = ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0))
+        for i, xi in enumerate(np.linspace(0.3, 0.7, 41).tolist()):
+            p = WeightParams(xi=xi, alpha=alphas[i % 6])
+            x = refined_grid(p).points
+            xs = x[(x >= 0.1) & (x <= 0.9)]
+            g, (u, v) = gammas[i % 3], uvs[i % 3]
+            cases = {
+                "wbar": (checks._pow(np.abs(x - xi), p.alpha),
+                         [wbar(p, float(t)) for t in x]),
+                "varphi^g": (checks._pow(varphi(xs), g),
+                             [varphi(float(t)) ** g for t in xs]),
+                "inverse weight": (checks._pow(xs, -u) * checks._pow(1.0 - xs, -v),
+                                   [t**-u * (1.0 - t) ** -v for t in xs]),
+            }
+            for name, (got, want) in cases.items():
+                diff = got.view(np.uint64) != np.array(want).view(np.uint64)
+                assert not diff.any(), (name, xi, int(diff.sum()))
 
 
 class TestLemmaSuiteOneSweep:
