@@ -39,6 +39,22 @@ class TestFunction:
             raise ValueError(f"alpha0 must lie in (0,2), got {self.alpha0!r}")
 
 
+def _evaluate(f: TestFunction, where: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
+    """compute(), an expression in evaluations of f, as a float array.
+    An overflow or an invalid operation while it runs, or a NaN or an
+    infinity in its result, is one ValueError naming f and ``where``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            vals = np.asarray(compute(), dtype=float)
+    except FloatingPointError as e:
+        reason = str(e)
+    else:
+        if np.isfinite(vals).all():
+            return vals
+        reason = "non-finite value"
+    raise ValueError(f"evaluation of {f.name or 'f'} failed {where}: {reason}")
+
+
 def _as_array(x):
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))

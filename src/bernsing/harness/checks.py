@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..basis import _blocks, _check_degree, _inverse_weights, _row
-from ..blending import TestFunction, bridge_p, fbar_d2, knots
+from ..blending import TestFunction, _evaluate, bridge_p, fbar_d2, knots
 from ..exceptions import Degenerate, MissingExponent
 from ..moduli import T_MAX, ModulusConfig, quadrature_bound_ratio, modulus_curve
 from ..operator import bbar_apply, build_operator
@@ -110,12 +110,10 @@ def lemma6_sum(n: int, params: WeightParams, beta: float, x: float) -> float:
 
 def error_field(f: TestFunction, n: int, params: WeightParams, grid: EvalGrid) -> np.ndarray:
     """Pointwise weighted error wbar * |f - operator(f)| on the grid."""
-    op = build_operator(f, n, params)
     x = grid.points
-    err = wbar(params, x) * np.abs(np.asarray(f.eval(x), float) - bbar_apply(op, x))
-    if np.isnan(err).any():
-        raise ValueError(f"error field of {f.name or 'f'} has NaNs")
-    return err
+    b = bbar_apply(build_operator(f, n, params), x)
+    return _evaluate(f, f"in the error field of degree {n}",
+                     lambda: wbar(params, x) * np.abs(f.eval(x) - b))
 
 
 def _scale_field(n: int, sw, x: np.ndarray) -> np.ndarray:

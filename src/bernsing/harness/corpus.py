@@ -14,8 +14,6 @@ from ..weights import WeightParams
 
 __all__ = ["CORPUS_NAMES", "corpus"]
 
-CORPUS_NAMES = ("affine", "quadratic", "inner-cusp", "inner-root", "smooth-bump")
-
 _AFFINE_A = 0.75
 _AFFINE_B = 0.2
 
@@ -61,28 +59,29 @@ def _smooth_bump() -> TestFunction:
     return TestFunction(eval=f, d1=f1, d2=f2, name="smooth-bump", in_w2phi=True)
 
 
+def _power(xi: float, s: float, odd: bool) -> tuple:
+    """eval, d1 and d2 of the signed power sign(x-xi)^odd |x-xi|^s.  The
+    k-th derivative is c_k |x-xi|^(s-k), with c_k = 1, s, s(s-1), times
+    sign(x-xi) when k + odd is odd."""
+
+    def derivative(k: int, c: float):
+        signed = (k + odd) % 2 == 1
+
+        def g(t):
+            d = np.asarray(t, float) - xi
+            return (c * np.sign(d) if signed else c) * np.abs(d) ** (s - k)
+
+        return g
+
+    return derivative(0, 1.0), derivative(1, s), derivative(2, s * (s - 1.0))
+
+
 def _inner_root(params: WeightParams) -> TestFunction:
-    xi, a = params.xi, params.alpha
-    e = -a / 2.0
-
-    def f(t):
-        return np.abs(np.asarray(t, float) - xi) ** e
-
-    def f1(t):
-        d = np.asarray(t, float) - xi
-        return e * np.sign(d) * np.abs(d) ** (e - 1.0)
-
-    def f2(t):
-        d = np.asarray(t, float) - xi
-        return e * (e - 1.0) * np.abs(d) ** (e - 2.0)
-
-    return TestFunction(
-        eval=f,
-        d1=f1,
-        d2=f2,
-        name="inner-root",
-        alpha0=a / 2.0 if a / 2.0 < 2.0 else None,
-    )
+    """Even root singularity |x-xi|^(-alpha/2)."""
+    a = params.alpha
+    f, f1, f2 = _power(params.xi, -a / 2.0, odd=False)
+    return TestFunction(eval=f, d1=f1, d2=f2, name="inner-root",
+                        alpha0=a / 2.0 if a / 2.0 < 2.0 else None)
 
 
 def _inner_cusp(params: WeightParams, alpha0: float) -> TestFunction:
@@ -91,35 +90,19 @@ def _inner_cusp(params: WeightParams, alpha0: float) -> TestFunction:
     decay exponent of its weighted modulus.  The sign factor keeps the
     second difference alive when alpha0 equals the weight exponent
     (a plain power would collapse to a constant there)."""
-    if not 0.0 < alpha0 < 2.0:
-        raise ValueError(f"inner-cusp needs alpha0 in (0,2), got {alpha0!r}")
-    xi = params.xi
-    s = alpha0 - params.alpha
-
-    if s == 0.0:
-
-        def f(t):
-            return np.sign(np.asarray(t, float) - xi)
-
-        def f1(t):
-            return np.zeros_like(np.asarray(t, float))
-
-        f2 = f1
-    else:
-
-        def f(t):
-            d = np.asarray(t, float) - xi
-            return np.sign(d) * np.abs(d) ** s
-
-        def f1(t):
-            d = np.asarray(t, float) - xi
-            return s * np.abs(d) ** (s - 1.0)
-
-        def f2(t):
-            d = np.asarray(t, float) - xi
-            return s * (s - 1.0) * np.sign(d) * np.abs(d) ** (s - 2.0)
-
+    f, f1, f2 = _power(params.xi, alpha0 - params.alpha, odd=True)
     return TestFunction(eval=f, d1=f1, d2=f2, name=f"inner-cusp[{alpha0:g}]", alpha0=alpha0)
+
+
+# name -> factory of (params, alpha0); only inner-cusp reads alpha0
+_FACTORIES = {
+    "affine": lambda params, alpha0: _affine(),
+    "quadratic": lambda params, alpha0: _quadratic(),
+    "inner-cusp": _inner_cusp,
+    "inner-root": lambda params, alpha0: _inner_root(params),
+    "smooth-bump": lambda params, alpha0: _smooth_bump(),
+}
+CORPUS_NAMES = tuple(_FACTORIES)
 
 
 def corpus(name: str, params: WeightParams, alpha0: float | None = None) -> TestFunction:
@@ -129,16 +112,10 @@ def corpus(name: str, params: WeightParams, alpha0: float | None = None) -> Test
     1.0) and is rejected for the other names, whose exponent is either
     fixed by construction or unknown.
     """
-    if name not in CORPUS_NAMES:
+    if name not in _FACTORIES:
         raise ValueError(f"unknown corpus function {name!r}; choose from {CORPUS_NAMES}")
     if name == "inner-cusp":
-        return _inner_cusp(params, 1.0 if alpha0 is None else alpha0)
-    if alpha0 is not None:
+        alpha0 = 1.0 if alpha0 is None else alpha0
+    elif alpha0 is not None:
         raise ValueError(f"alpha0 is only configurable for 'inner-cusp', not {name!r}")
-    if name == "affine":
-        return _affine()
-    if name == "quadratic":
-        return _quadratic()
-    if name == "smooth-bump":
-        return _smooth_bump()
-    return _inner_root(params)
+    return _FACTORIES[name](params, alpha0)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blending import TestFunction
+from .blending import TestFunction, _evaluate
 from .exceptions import Degenerate
 from .weights import EvalGrid, StepWeight, WeightParams, step_weight, wbar
 
@@ -75,9 +75,8 @@ def _weighted_diff_max(f, params, sw, grid, h):
         return None
     xa = x[ok]
     oa = off[ok]
-    vals = wbar(params, xa) * np.abs(f.eval(xa + oa) - 2.0 * f.eval(xa) + f.eval(xa - oa))
-    if np.isnan(vals).any():
-        raise ValueError(f"evaluation of {f.name or 'f'} failed in second difference")
+    vals = _evaluate(f, "in a second difference", lambda: wbar(params, xa) * np.abs(
+        f.eval(xa + oa) - 2.0 * f.eval(xa) + f.eval(xa - oa)))
     return float(vals.max())
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import bernstein_apply
-from .blending import Knots, TestFunction, fbar, knots
+from .blending import Knots, TestFunction, _evaluate, fbar, knots
 from .weights import WeightParams
 
 __all__ = ["OperatorInstance", "build_operator", "bbar_apply", "bbar_second"]
@@ -30,9 +30,7 @@ def build_operator(f: TestFunction, n: int, params: WeightParams) -> OperatorIns
     there."""
     k = knots(n, params.xi)
     lattice = np.arange(n + 1) / n
-    samples = fbar(f, k, lattice)
-    if not np.isfinite(samples).all():
-        raise ValueError(f"{f.name or 'f'} has non-finite spliced samples at n={n}")
+    samples = _evaluate(f, f"at the lattice of degree {n}", lambda: fbar(f, k, lattice))
     samples.flags.writeable = False
     return OperatorInstance(n=n, params=params, knots=k, fbar_samples=samples)
 

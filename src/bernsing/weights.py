@@ -4,14 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .basis import _check_x
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .blending import TestFunction
+from .blending import TestFunction, _evaluate
 
 __all__ = [
     "WeightParams",
@@ -128,15 +124,11 @@ def refined_grid(
     return EvalGrid(points=pts, exclusion_radius=_EXCLUSION_RADIUS)
 
 
-def weighted_sup_norm(f: "TestFunction", params: WeightParams, grid: EvalGrid) -> float:
+def weighted_sup_norm(f: TestFunction, params: WeightParams, grid: EvalGrid) -> float:
     """max over the grid of |wbar(x) f(x)|, the grid analogue of the
     weighted sup-norm (the limit value at xi itself is 0 and the grid
-    never contains xi).  An overflow or an invalid operation is a ValueError."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            vals = wbar(params, grid.points) * np.asarray(f.eval(grid.points), dtype=float)
-    except FloatingPointError as e:
-        raise ValueError(f"evaluation of {f.name or 'f'} failed on the grid: {e}") from None
-    if np.isnan(vals).any():
-        raise ValueError(f"evaluation of {f.name or 'f'} failed on the grid")
+    never contains xi).  A failed evaluation of f (an overflow, an
+    invalid operation, or a NaN or infinite value) is a ValueError."""
+    x = grid.points
+    vals = _evaluate(f, "on the grid", lambda: wbar(params, x) * f.eval(x))
     return float(np.max(np.abs(vals)))

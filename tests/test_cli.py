@@ -2,6 +2,7 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bernsing.harness.cli import _parse_sweep, UsageError, run_cli
@@ -91,15 +92,53 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {named}" in err
 
-    def test_overflow_is_one_error_line(self, capsys):
-        # inner-root is |x - xi|^(-alpha/2): at alpha = 500 it overflows
+    @pytest.mark.parametrize("command, failed", [
+        (["lemmas"], "inner-root failed on the grid"),
+        (["rates", "--n", "64:128"], "inner-root failed in the error field of degree 64"),
+        (["direct", "--n", "64:128"], "inner-root failed in a second difference"),
+        (["inverse", "--function", "inner-cusp", "--n", "64:128"],
+         "inner-cusp[1] failed in a second difference"),
+        (["dump-operator", "--n", "1024:1024"], "inner-root failed at the lattice of degree 1024"),
+    ], ids=["lemmas", "rates", "direct", "inverse", "dump-operator"])
+    def test_overflow_is_one_error_line(self, command, failed, capsys):
+        # inner-root is |x - xi|^(-alpha/2) and inner-cusp[1] is
+        # sign(x - xi) |x - xi|^(1 - alpha): at alpha = 500 both overflow
         # near xi, and the weighted values are 0 * inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run_cli(["lemmas", "--xi", "0.5", "--alpha", "500"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: evaluation of inner-root failed on the grid: overflow")
+            assert run_cli([*command, "--xi", "0.5", "--alpha", "500"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: evaluation of {failed}: overflow")
         assert err.count("\n") == 1
+
+    def test_vanishing_modulus_is_a_failed_check(self, monkeypatch, capsys):
+        # a modulus that vanishes where the error does not makes direct_check
+        # raise Degenerate, which the CLI reports as a failed check
+        from bernsing.harness import checks
+
+        monkeypatch.setattr(checks, "_tabulated_modulus", lambda *args: np.zeros_like)
+        assert run_cli(["direct", *BASE, "--n", "64:128"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("check failed: modulus vanishes at x=")
+        assert err.count("\n") == 1
+
+    def test_rates_too_short_to_fit(self, tmp_path):
+        # three degrees are too few for fit_rate: the rows carry only the
+        # measured errors and the report has no slope
+        args = ["rates", *BASE, "--function", "inner-root", "--n", "64:256"]
+        csv_out, json_out = tmp_path / "r.csv", tmp_path / "r.json"
+        assert run_cli(args + ["--out", str(csv_out)]) == 0
+        assert run_cli(args + ["--format", "json", "--out", str(json_out)]) == 0
+        lines = csv_out.read_text().split("\n")
+        assert lines[0] == "n,measured,reference,ratio"
+        assert [line.split(",")[0] for line in lines[1:-1]] == ["64", "128", "256"]
+        assert all(line.endswith(",0,0") for line in lines[1:-1])
+        assert lines[-1] == ""
+        report = json.loads(json_out.read_text())
+        assert report["fitted_slope"] is None
+        assert report["verdict"] == "pass"
 
     def test_unwritable_out(self, capsys):
         args = ["dump-operator", *BASE, "--n", "64:64", "--out", "/nonexistent/dir/x.csv"]

@@ -80,6 +80,11 @@ class TestCorpus:
         d = 1e-4
         assert float(g.eval(0.5 + d)) == pytest.approx(-float(g.eval(0.5 - d)), rel=1e-12)
 
+    @pytest.mark.parametrize("a0", [0.0, 2.0, math.nan])
+    def test_inner_cusp_alpha0_out_of_range(self, params, a0):
+        with pytest.raises(ValueError, match="alpha0"):
+            corpus("inner-cusp", params, a0)
+
     def test_unknown_name(self, params):
         with pytest.raises(ValueError):
             corpus("sawtooth", params)
