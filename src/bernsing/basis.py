@@ -10,19 +10,21 @@ accuracy if assembled in float64, which is why the table and assembly
 use ``np.longdouble``.
 
 Entries that float64 ``exp`` would return as exactly 0.0 are not
-evaluated.  A block of abscissae assembles only the indices between two
-Chernoff edges, past which p_{n,k}(x) <= exp(-n KL(k/n || x)) <= exp(-750);
-each edge takes a fixed four Newton steps from the Hoeffding radius
-sqrt(375 n), so it costs O(1) per block and never widens the window.
+evaluated.  A block of abscissae is assembled a cache-sized tile of rows
+at a time, and a tile only between the two Chernoff edges of its
+smallest and largest x, past which p_{n,k}(x) <= exp(-n KL(k/n || x)) <=
+exp(-750); each edge takes a fixed four Newton steps from the Hoeffding
+radius sqrt(375 n), so it costs O(1) per tile and never widens the window.
 
-A large block's elementwise work is split by rows into one part per
-usable CPU, each on a thread (``taskset`` restricts them), and each part
-assembles its rows a cache-sized tile at a time in two small buffers; an
-entry goes through the same operations in the same order in any part or
-tile: no bit moves.
+A large block's elementwise work runs on one thread per usable CPU
+(``taskset`` restricts them); each takes the next tile until none is
+left and assembles it in two small buffers of its own.  An entry goes
+through the same operations in the same order on any thread or tile: no
+bit moves.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
@@ -136,27 +138,36 @@ def _check_x(x) -> np.ndarray:
     return xs
 
 
-def _in_parts(part, rows: int, parts: int) -> None:
-    """part(r) on each r of rows cut into parts slices: the first on this
-    thread, each other on a thread of its own, all joined before the first
-    error, if any, is re-raised."""
+def _in_parts(part, parts: int) -> None:
+    """part() on parts threads, the first this one, all joined before the
+    first error, if any, is re-raised."""
     if parts == 1:
-        return part(slice(0, rows))
-    cuts, errors = [rows * i // parts for i in range(parts + 1)], []
+        return part()
+    errors = []
 
-    def run(r):
+    def run():
         try:
-            part(r)
+            part()
         except BaseException as exc:
             errors.append(exc)
-    threads = [threading.Thread(target=run, args=(slice(*ab),)) for ab in zip(cuts[1:], cuts[2:])]
+    threads = [threading.Thread(target=run) for _ in range(parts - 1)]
     for th in threads:
         th.start()
-    run(slice(0, cuts[1]))
+    run()
     for th in threads:
         th.join()
     if errors:
         raise errors[0]
+
+
+def _edges(n: int, xs: np.ndarray, klo: int, khi: int) -> tuple[int, int]:
+    """The indices lo..end-1 of klo..khi between the lower Chernoff edge
+    of min(xs) and the upper edge of max(xs) (see _zero_reach; both edges
+    increase with x); end = lo where none is left."""
+    xmin, xmax = float(xs.min()), float(xs.max())
+    lo = max(klo, math.floor(n * xmin - _zero_reach(n, 1.0 - xmin, xmin)))
+    hi = min(khi, math.ceil(n * xmax + _zero_reach(n, xmax, 1.0 - xmax)))
+    return lo, max(lo, hi + 1)
 
 
 def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
@@ -168,12 +179,13 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
     rows at x = 0 and x = 1 are unit vectors (zero outside the index
     window).
 
-    Each block assembles only the columns between the lower Chernoff
-    edge of its smallest x and the upper edge of its largest x (see
-    _zero_reach; both edges increase with x) and sets the rest to 0.0,
-    which is what exp returns for them anyway.  The columns it does
-    assemble go through the same operations in the same order as a
-    full-width block, so every value is the same to the bit.
+    A block is assembled a tile of rows at a time, and each tile only
+    between the Chernoff edges of its own smallest and largest x
+    (_edges); the rest of its rows is set to 0.0, which is what exp
+    returns there anyway.  The block's edges size the tiles and the part
+    count; the parts take the next tile until none is left.  The columns
+    a tile assembles go through the same operations in the same order as
+    a full-width block, so every value is the same to the bit.
     """
     khi = n if khi is None else khi
     k = np.arange(klo, khi + 1, dtype=_LD)
@@ -186,40 +198,44 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
         rows = slice(a, min(a + step, x.size))
         xb = x[rows]
         o = out[: xb.size]
-        xmin, xmax = float(xb.min()), float(xb.max())
-        lo = max(klo, math.floor(n * xmin - _zero_reach(n, 1.0 - xmin, xmin)))
-        hi = min(khi, math.ceil(n * xmax + _zero_reach(n, xmax, 1.0 - xmax)))
-        j0, j1 = lo - klo, max(lo, hi + 1) - klo
-        width = j1 - j0
+        lo, end = _edges(n, xb, klo, khi)
+        width = end - lo
         tile = max(1, _PART_VALUES // max(width, 1))
         xl = xb.astype(_LD)
         parts = max(1, min(xb.size, xb.size * width // _PART_VALUES, cpus or 1))
         # a tile buffer pair per part, made on this thread: made on a worker,
         # it came from that thread's malloc arena, and peak RSS varied by 1.8 MiB
         pool = [np.empty((2, min(tile, xb.size) * width), _LD) for _ in range(parts)]
+        starts = collections.deque(range(0, xb.size, tile))
 
-        def part(r):
-            # the part's rows, a tile of about _PART_VALUES values at a time
-            buf, m = pool.pop(), min(tile, r.stop - r.start)
-            e, t = buf[:, : m * width].reshape(2, m, width)
+        def part():
+            buf = pool.pop()
             # a thread starts from numpy's default error state
             with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-                o[r, :j0] = o[r, j1:] = 0.0
-                for b in range(r.start, r.stop, tile):
-                    s = slice(b, min(b + tile, r.stop))
-                    er, tr, ow = e[: s.stop - b], t[: s.stop - b], o[s, j0:j1]
+                while True:
+                    try:
+                        b = starts.popleft()
+                    except IndexError:
+                        return
+                    s = slice(b, min(b + tile, xb.size))
+                    j0, j1 = (j - klo for j in _edges(n, xb[s], lo, end - 1))
+                    m, w = s.stop - b, j1 - j0
+                    # contiguous m x w buffers: strided views cost numpy a cast buffer
+                    er, tr = buf[:, : m * w].reshape(2, m, w)
+                    o[s, :j0] = o[s, j1:] = 0.0
+                    ow = o[s, j0:j1]
                     np.multiply(np.log(xl[s])[:, None], k[j0:j1], out=er)
                     np.add(lrow[j0:j1], er, out=er)
                     np.multiply(np.log1p(-xl[s])[:, None], nk[j0:j1], out=tr)
                     np.add(er, tr, out=er)
                     ow[...] = er
                     np.exp(ow, out=ow)
-        _in_parts(part, xb.size, parts)
+        _in_parts(part, parts)
         # the log-space form leaves 0 * -inf = NaN where 0**0 = 1 is
         # meant; every other entry of an endpoint row is exp(-inf) = 0
         if lo == 0:
             o[xb == 0.0, 0] = 1.0
-        if hi == n:
+        if end == n + 1:
             o[xb == 1.0, -1] = 1.0
         yield rows, o
 

@@ -222,6 +222,9 @@ def inverse_check(cfg: ExperimentConfig) -> RateReport:
     f, grid = _theorem_setup(cfg, "inverse_check")
     if f.alpha0 is None:
         raise MissingExponent(f"{f.name} has no nominal smoothness exponent")
+    if len(cfg.t_values) < 4:
+        raise ValueError(f"need at least 4 t values to fit the modulus rate, got "
+                         f"{len(cfg.t_values)}: {', '.join(map(repr, cfg.t_values))}")
     a0 = f.alpha0
     x = grid.points
     curve = modulus_curve(f, cfg.params, cfg.sw, ModulusConfig(x_grid=grid, t_values=cfg.t_values))
@@ -250,35 +253,37 @@ def _pow(base: np.ndarray, p: float) -> np.ndarray:
     return np.array([b**p for b in base.tolist()])
 
 
-def _term_max(n: int, rows: slice, block: np.ndarray, span: slice, window, term) -> float:
-    """Max of term over the block rows inside span (-inf when there are
-    none), with the columns cut to the index window(n)."""
+def _term_max(n: int, rows: slice, block, labels, span: slice, window, term) -> np.ndarray:
+    """Max per label of term over the block rows inside span (-inf
+    where there are none), with the columns cut to the index window(n)."""
     lo, hi = max(rows.start, span.start), min(rows.stop, span.stop)
     if lo >= hi:
-        return -math.inf
+        return np.full(len(labels), -math.inf)
     klo, khi = window(n)
     k = np.arange(klo, khi + 1, dtype=float)
     part = block[lo - rows.start : hi - rows.start, klo : khi + 1]
-    return term(n, slice(lo - span.start, hi - span.start), k, part).max()
+    return np.reshape(term(n, slice(lo - span.start, hi - span.start), k, part),
+                      (len(labels), -1)).max(axis=1)
 
 
-def _sweep(cfg, x, terms: dict) -> dict:
+def _sweep(cfg, x, terms: list) -> dict:
     """Grid max per degree of every labelled term, one sequence over
     cfg.n_values per label.
 
     For each n the basis block over all indices 0..n at the abscissae x
-    is built once.  A term is (span, window, fn): span is the slice of x
-    it reads, window(n) its index range, and fn maps (n, rows, k, block)
-    to one value per block row, where rows indexes x[span] and k holds
-    the indices.
+    is built once.  A term is (labels, span, window, fn): span is the
+    slice of x it reads, window(n) its index range, and fn maps
+    (n, rows, k, block) to one value per block row and label, where rows
+    indexes x[span] and k holds the indices.
     """
-    best = np.empty((len(terms), len(cfg.n_values)))
+    labels = [label for t in terms for label in t[0]]
+    best = np.empty((len(labels), len(cfg.n_values)))
     for j, n in enumerate(cfg.n_values):
         # no block outlives the comprehension, so the output block of
         # degree n is freed before that of the next degree is allocated
-        best[:, j] = np.max([[_term_max(n, rows, block, *t) for t in terms.values()]
+        best[:, j] = np.max([np.concatenate([_term_max(n, rows, block, *t) for t in terms])
                              for rows, block in _blocks(n, x)], axis=0)
-    return dict(zip(terms, best.tolist()))
+    return dict(zip(labels, best.tolist()))
 
 
 def _verdict(name: str, seqs: dict) -> LemmaResult:
@@ -290,31 +295,11 @@ def _verdict(name: str, seqs: dict) -> LemmaResult:
     return LemmaResult(name, "pass" if ok else "fail", max(map(max, seqs.values())), detail)
 
 
-# rows per |k - n x|^g weight matrix in _moment_ratio.  A fresh process
-# running `lemmas --xi 0.5 --alpha 1` peaks at 42.6 MiB RSS (median of 5,
-# 2 vCPU, numpy 2.4); one matrix per block (976 x 1025 at n = 1024)
-# raises that to 55.1 MiB, while 8, 32 and 64 rows stay within 0.2 MiB
-# of 42.6 and move its wall time only within the run-to-run spread.  Each
-# row's dot product reads only that row, so the group size changes no bit.
-_ROW_GROUP = 16
-
-
-def _moment_ratio(xs, phi, g, e, num):
-    """Term num(x) sum_k p_{n,k}(x) |k - n x|^g / (n^e phi^g), phi = varphi(xs).
-
-    np.vecdot sums each row with the same dot kernel as a 1-d np.dot.
-    A matrix product would sum in another order, and ratios that equal 1
-    to within rounding (lemma 4 at gamma = 2) would change their trend
-    statistic."""
-    den = _pow(phi, g)
-
-    def term(n, rows, k, block):
-        t = xs[rows, None]
-        sums = [np.vecdot(block[i : i + _ROW_GROUP], np.abs(k - n * t[i : i + _ROW_GROUP]) ** g)
-                for i in range(0, len(t), _ROW_GROUP)]
-        return num[rows] * np.concatenate(sums) / (n ** e * den[rows])
-
-    return term
+# values per |k - n x| table in the moment term (31 rows at n = 1024).  A
+# fresh `lemmas --xi 0.5 --alpha 1` peaks at 42.3-42.4 MiB RSS (medians of 5,
+# 2 vCPU, numpy 2.4), within 16-row tables' 42.2-42.6, and at 42.9 with d and
+# its powers held at once.  A row's dot product reads only that row: no bit moves.
+_GROUP_VALUES = 1 << 15
 
 
 def _basis_lemmas(cfg, grid, f) -> dict:
@@ -332,23 +317,46 @@ def _basis_lemmas(cfg, grid, f) -> dict:
 
     def inverse(u, v):
         den = _pow(xs, -u) * _pow(1.0 - xs, -v)
-        return lambda n, rows, k, block: (
-            np.vecdot(block, _inverse_weights(n, u, v)) / den[rows])
+        weights = {n: _inverse_weights(n, u, v) for n in cfg.n_values}
+        return lambda n, rows, k, block: np.vecdot(block, weights[n]) / den[rows]
 
-    # (lemma, label) -> (abscissae, index window, per-row values)
+    gammas, betas = (1.0, 2.0, 3.0), (1.0, 2.0)  # of lemmas 4 and 6
+    den, wbi = {g: _pow(phi, g) for g in gammas}, wb[inner]  # betas are gammas too
+
+    def moments(n, rows, k, block):
+        """Lemma 4 over 0..n and lemma 6 near xi from one table d = |k - n x|
+        per row group.  np.vecdot sums each row as a 1-d np.dot does; a
+        matrix product would sum in another order and move the trend
+        statistic of ratios that equal 1 to rounding (lemma 4, gamma = 2)."""
+        klo, khi = near(n)
+        t, step = xs[rows, None], max(1, _GROUP_VALUES // k.size)
+        sums = []
+        for i in range(0, len(t), step):
+            group, d = block[i : i + step], k - n * t[i : i + step]
+            np.abs(d, out=d)
+            four, six = [], []
+            for g in gammas:
+                # d ** 1.0 is a copy of d, with the same bits
+                p = d if g == 1.0 else d ** g
+                four.append(np.vecdot(group, p))
+                if g in betas:
+                    six.append(np.vecdot(group[:, klo : khi + 1], p[:, klo : khi + 1]))
+            sums.append(four + six)
+        s = np.concatenate(sums, axis=1)
+        return ([sg / (n ** (g / 2) * den[g][rows]) for g, sg in zip(gammas, s)]
+                + [wbi[rows] * sb / (n ** ((b - a) / 2) * den[b][rows])
+                   for b, sb in zip(betas, s[len(gammas):])])
+
+    # (labels, abscissae, index window, per-row values per label)
     full, near = (lambda n: (0, n)), (lambda n: _window(n, cfg.params.xi))
-    terms = {}
-    for u, v in ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0)):
-        terms["lemma1", f"(u={u:g},v={v:g})"] = (inner, lambda n: (1, n - 1), inverse(u, v))
-    terms["lemma2", f"{f.name}:"] = (
-        whole, full, lambda n, rows, k, block: w[rows] * np.abs(block @ samples[n]) / nwf)
-    for g in (1.0, 2.0, 3.0):
-        terms["lemma4", f"gamma={g:g}"] = (
-            inner, full, _moment_ratio(xs, phi, g, g / 2, np.ones(xs.size)))
-    terms["lemma5", "mass"] = (whole, near, lambda n, rows, k, block: wb[rows] * block.sum(1))
-    for b in (1.0, 2.0):
-        terms["lemma6", f"beta={b:g}"] = (
-            inner, near, _moment_ratio(xs, phi, b, (b - a) / 2, wb[inner]))
+    terms = [([("lemma1", f"(u={u:g},v={v:g})")], inner, lambda n: (1, n - 1), inverse(u, v))
+             for u, v in ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0))]
+    terms.append(([("lemma2", f"{f.name}:")], whole, full,
+                  lambda n, rows, k, block: w[rows] * np.abs(block @ samples[n]) / nwf))
+    terms.append(([("lemma4", f"gamma={g:g}") for g in gammas]
+                  + [("lemma6", f"beta={b:g}") for b in betas], inner, full, moments))
+    terms.append(([("lemma5", "mass")], whole, near,
+                  lambda n, rows, k, block: wb[rows] * block.sum(1)))
     seqs = {}
     for (name, label), seq in _sweep(cfg, x, terms).items():
         seqs.setdefault(name, {})[label] = seq

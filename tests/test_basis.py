@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -281,9 +282,10 @@ class TestArbitraryPrecisionOracle:
 
 
 class TestExactZeroWindow:
-    # The kernel assembles only the columns within sqrt(375 n) of n x and
+    # The kernel assembles each tile of rows only between the Chernoff
+    # edges of its smallest and largest x, within sqrt(375 n) of n x, and
     # sets the rest to 0.0; the full-width oracle evaluates every column.
-    # Sorted abscissae give narrow windows per block, and single rows
+    # Sorted abscissae give narrow windows per tile, and single rows
     # (_row) the narrowest; both must equal the oracle to the bit.
     XI = 0.37
 
@@ -481,16 +483,57 @@ class TestRowSplit:
         assert (got == full_width_block(n, xs, 0, n)).all()
 
     def test_a_failing_part_raises_after_the_join(self):
-        done = []
+        # the failing part stops at once; the others still run to the end
+        # before the error reaches the caller
+        caller = threading.get_ident()
+        for failing in ("caller", "worker"):
+            done = []
 
-        def part(r):
-            if r.start > 0:
-                raise ZeroDivisionError(r.start)
-            done.append(r)
+            def part():
+                on_caller = threading.get_ident() == caller
+                if on_caller == (failing == "caller"):
+                    raise ZeroDivisionError(failing)
+                time.sleep(0.05)
+                done.append(on_caller)
 
-        with pytest.raises(ZeroDivisionError):
-            _in_parts(part, 6, 3)
-        assert done == [slice(0, 2)]
+            with pytest.raises(ZeroDivisionError):
+                _in_parts(part, 3)
+            assert done == ([False, False] if failing == "caller" else [True]), failing
+
+    @pytest.mark.parametrize("n", [1024, 16384, 65536])
+    def test_mixed_tiles_give_the_full_width_bits(self, n, cpus, monkeypatch):
+        # one whole block of endpoint-cluster and mid-grid rows in no
+        # order: a tile's window spans the Chernoff edges of its smallest
+        # and largest x, which are rarely its first and last rows.  x = 0
+        # and x = 1 stretch the block's window over 0..n, so
+        # _PART_VALUES = tile * (n + 1) makes tiles of `tile` rows.
+        xs = np.resize(TestExactZeroWindow._mixed(), _BLOCK_VALUES // (n + 1))
+        want = full_width_block(n, xs, 0, n).view(np.uint64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for tile in (1, 3, 7):
+                monkeypatch.setattr(basis, "_PART_VALUES", tile * (n + 1))
+                for count in (1, 2, 7):
+                    cpus(count)
+                    (rows, got), = _blocks(n, xs)
+                    assert rows == slice(0, xs.size)
+                    assert (got.view(np.uint64) == want).all(), (tile, count)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_apply_exponentiates_only_tile_windows(self, grid, monkeypatch):
+        # entries handed to exp on the refined grid at n = 16384: 17,736,996
+        # with one window per block, 16,900,027 with one per tile
+        sizes = []
+
+        def exp(a, *args, _exp=np.exp, **kw):
+            sizes.append(np.size(a))
+            return _exp(a, *args, **kw)
+
+        monkeypatch.setattr(np, "exp", exp)
+        bernstein_apply(np.cos(0.37 * np.arange(16385)), grid.points)
+        assert sum(sizes) <= 16_950_000, sum(sizes)
 
     def test_fork_after_a_split_block(self, cpus, starts):
         # a forked child must not wait on workers its parent started;

@@ -140,6 +140,22 @@ class TestExitCodes:
         assert report["fitted_slope"] is None
         assert report["verdict"] == "pass"
 
+    def test_inverse_too_few_t_values_fails_first(self, monkeypatch, capsys):
+        # the modulus fit needs 4 scales; 3 are rejected before the curve
+        from bernsing.harness import checks
+
+        def curve(*args):
+            raise AssertionError("modulus_curve ran")
+
+        monkeypatch.setattr(checks, "modulus_curve", curve)
+        args = ["inverse", "--xi", "0.5", "--alpha", "1", "--function", "inner-cusp",
+                "--alpha0", "1", "--t", "0.03125:0.125"]
+        assert run_cli(args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: need at least 4 t values to fit the modulus rate, "
+                       "got 3: 0.03125, 0.0625, 0.125\n")
+
     def test_unwritable_out(self, capsys):
         args = ["dump-operator", *BASE, "--n", "64:64", "--out", "/nonexistent/dir/x.csv"]
         assert run_cli(args) == 2

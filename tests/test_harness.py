@@ -232,35 +232,61 @@ class TestLemmaSuite:
                 assert r.constant is not None and math.isfinite(r.constant)
 
 
+class _Rows:
+    """A row-group budget of `rows` rows at every degree."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __floordiv__(self, width):
+        return self.rows
+
+
 class TestLemmaSweepsMatchScalarSums:
+    PARAMS = WeightParams(xi=0.47, alpha=0.7)
+
+    def _cfg(self, sw):
+        return _cfg(self.PARAMS, sw, n_values=(64, 128, 256, 512), grid_density=513)
+
+    @staticmethod
+    def _expect(cfg, ratio, values):
+        """The worst ratio and the verdict notes of the scalar sums, one
+        sequence per value, over the grid points in [0.1, 0.9]."""
+        x = cfg.make_grid().points
+        xs = x[(x >= 0.1) & (x <= 0.9)]
+        seqs = [[max(ratio(n, p, float(t)) for t in xs) for n in cfg.n_values]
+                for p in values]
+        return max(map(max, seqs)), [sequence_verdict(s)[1] for s in seqs]
+
+    def _moments(self, cfg):
+        """Lemmas 4 and 6 from the scalar sums."""
+        a = self.PARAMS.alpha
+        return {
+            "lemma4": self._expect(cfg, lambda n, g, t: central_moment_sum(n, g, t)
+                                   / (n ** (g / 2) * varphi(t) ** g), (1.0, 2.0, 3.0)),
+            "lemma6": self._expect(cfg, lambda n, b, t: lemma6_sum(n, self.PARAMS, b, t)
+                                   / (n ** ((b - a) / 2.0) * varphi(t) ** b), (1.0, 2.0)),
+        }
+
+    @staticmethod
+    def _check(results, cases):
+        for key, (worst, notes) in cases.items():
+            assert results[key].constant == worst, key
+            assert [d.split(" ", 1)[1] for d in results[key].detail.split("; ")] == notes
+
     def test_bit_identical(self, sw):
         # lemmas 1, 2, 4, 5 and 6 evaluate one basis block per degree;
         # the scalar sums, one abscissa at a time, and the operator
         # applied to the whole grid must give the same bits
-        params = WeightParams(xi=0.47, alpha=0.7)
-        cfg = _cfg(params, sw, n_values=(64, 128, 256, 512), grid_density=513)
+        params, cfg = self.PARAMS, self._cfg(sw)
         grid = cfg.make_grid()
-        xs = grid.points[(grid.points >= 0.1) & (grid.points <= 0.9)]
-        a = params.alpha
-
-        def expect(ratio, values):
-            seqs = [[max(ratio(n, p, float(t)) for t in xs) for n in cfg.n_values]
-                    for p in values]
-            return max(map(max, seqs)), [sequence_verdict(s)[1] for s in seqs]
-
         results = lemma_suite(cfg)
-        cases = {
-            "lemma1": expect(lambda n, uv, t: inverse_moment_sum(n, *uv, t)
-                             / (t ** -uv[0] * (1.0 - t) ** -uv[1]),
-                             ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0))),
-            "lemma4": expect(lambda n, g, t: central_moment_sum(n, g, t)
-                             / (n ** (g / 2) * varphi(t) ** g), (1.0, 2.0, 3.0)),
-            "lemma6": expect(lambda n, b, t: lemma6_sum(n, params, b, t)
-                             / (n ** ((b - a) / 2.0) * varphi(t) ** b), (1.0, 2.0)),
-        }
-        for key, (worst, notes) in cases.items():
-            assert results[key].constant == worst, key
-            assert [d.split(" ", 1)[1] for d in results[key].detail.split("; ")] == notes
+        self._check(results, {
+            "lemma1": self._expect(cfg, lambda n, uv, t: inverse_moment_sum(n, *uv, t)
+                                   / (t ** -uv[0] * (1.0 - t) ** -uv[1]),
+                                   ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0))),
+            **self._moments(cfg),
+        })
         seq5 = [max(an_sum(n, params, float(t)) for t in grid.points) for n in cfg.n_values]
         slope = fit_rate(list(zip(cfg.n_values, seq5)), scale_name="n").fitted_slope
         assert results["lemma5"].constant == slope
@@ -276,6 +302,16 @@ class TestLemmaSweepsMatchScalarSums:
                     / nwf for n in cfg.n_values]
             assert res["lemma2"].constant == max(seq2), name
             assert res["lemma2"].detail == f"{name}: {sequence_verdict(seq2)[1]}"
+
+    def test_any_row_group_gives_the_scalar_sums(self, sw, monkeypatch):
+        # lemmas 4 and 6 read one |k - n x| table per row group: groups of
+        # 1 and 7 rows, and one group per basis block, must all give the
+        # bits of the scalar sums
+        cfg = self._cfg(sw)
+        cases = self._moments(cfg)
+        for budget in (_Rows(1), _Rows(7), 10**9):
+            monkeypatch.setattr(checks, "_GROUP_VALUES", budget)
+            self._check(lemma_suite(cfg), cases)
 
 
 class TestScalarPow:
