@@ -6,19 +6,13 @@ verification harness with a CLI."""
 import os
 
 # One OpenBLAS thread unless the user chose otherwise.  The only BLAS
-# calls are per-block gemvs, each after its block's assembly threads are
-# joined, so a second BLAS thread only spins between those calls, and
+# calls are small gemvs (one per lemma-sweep block, one per tile of the
+# operator sum), so a second BLAS thread only spins between them, and
 # the last bits of a gemv depend on the thread count.  This must run before numpy
 # is imported; where numpy was imported first it has no effect.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .basis import (
-    basis_row,
-    basis_value,
-    bernstein_apply,
-    central_moment_sum,
-    inverse_moment_sum,
-)
+from .basis import basis_row, bernstein_apply
 from .blending import Knots, TestFunction, bridge_p, fbar, fbar_d2, knots, psi, psi_d
 from .exceptions import (
     Degenerate,

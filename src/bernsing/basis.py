@@ -1,4 +1,4 @@
-"""Numerically stable Bernstein basis evaluation and moment sums.
+"""Numerically stable Bernstein basis evaluation and the operator sum.
 
 All basis values are computed in log space: a cumulative log-factorial
 table supplies the log-binomial, the exponent is assembled in extended
@@ -7,20 +7,22 @@ precision, and only the final (small-magnitude) exponent is handed to
 near n = 1030; the exponent cancellation (log-binomial against
 k*ln x + (n-k)*ln(1-x), both of size ~n) would cost ~1e-12 of absolute
 accuracy if assembled in float64, which is why the table and assembly
-use ``np.longdouble``.
+use ``np.longdouble``; one helper (_assemble) runs it for both paths.
 
-Entries that float64 ``exp`` would return as exactly 0.0 are not
-evaluated.  A block of abscissae is assembled a cache-sized tile of rows
-at a time, and a tile only between the two Chernoff edges of its
+Basis rows and the lemma sweep's blocks (_blocks) leave out only entries
+that float64 ``exp`` returns as exactly 0.0: a block is assembled a tile
+of rows at a time, each only between the two Chernoff edges of its
 smallest and largest x, past which p_{n,k}(x) <= exp(-n KL(k/n || x)) <=
-exp(-750); each edge takes a fixed four Newton steps from the Hoeffding
-radius sqrt(375 n), so it costs O(1) per tile and never widens the window.
+exp(-750); each edge takes four Newton steps from the Hoeffding radius
+sqrt(375 n).  The operator sum (bernstein_apply) is banded: each interior
+x sums only |k - n x| <= t(x), outside which a row holds at most
+2 e^-40 ~ 8.5e-18 of its mass, in tiles of sorted x that are each dotted
+with their own sample slice.
 
-A large block's elementwise work runs on one thread per usable CPU
-(``taskset`` restricts them); each takes the next tile until none is
-left and assembles it in two small buffers of its own.  An entry goes
-through the same operations in the same order on any thread or tile: no
-bit moves.
+Large jobs run on one thread per usable CPU (``taskset`` restricts them),
+each taking the next tile until none is left.  Tiles do not depend on
+the thread count, and an entry goes through the same operations on any
+thread: no bit moves with it.
 """
 from __future__ import annotations
 
@@ -32,13 +34,7 @@ import threading
 
 import numpy as np
 
-__all__ = [
-    "basis_value",
-    "basis_row",
-    "bernstein_apply",
-    "central_moment_sum",
-    "inverse_moment_sum",
-]
+__all__ = ["basis_row", "bernstein_apply"]
 
 _LD = np.longdouble
 
@@ -83,11 +79,12 @@ def _binom_log_row(n: int) -> np.ndarray:
     return row
 
 
-# Values per block: it only pins the block shape that bernstein_apply's
-# gemv sees, on which the last bits of its values depend; the rows per
-# block follow the full index width though only a window is assembled.
-# _PART_VALUES: values at least per part where a block is split by rows,
-# and about per tile of a part's longdouble assembly.
+# Values per lemma-sweep block: it pins the size of those blocks and the
+# block shape that lemma 2's gemv `block @ samples` sees, on which the
+# last bits of its values depend; the rows per block follow the full
+# index width though only a window is assembled.
+# _PART_VALUES: values at least per part where work is split by rows,
+# and about per tile of a part's assembly.
 _BLOCK_VALUES = 1_000_000
 _PART_VALUES = 1 << 15
 
@@ -99,6 +96,11 @@ _PART_VALUES = 1 << 15
 _ZERO_EXPONENT = 750.0
 _ZERO_RADIUS = math.sqrt(_ZERO_EXPONENT / 2.0)
 _NEWTON_STEPS = 4
+
+# bernstein_apply's band [floor(n x - t), ceil(n x + t)]: t solves
+# t^2 / (2 (sigma^2 + t/3)) = _BAND_EXPONENT, sigma^2 = n x (1 - x), so by
+# Bernstein's inequality the row mass at |k - n x| > t is <= 2 exp(-40).
+_BAND_EXPONENT = 40.0
 
 
 def _zero_reach(n: int, a: float, b: float) -> float:
@@ -160,6 +162,28 @@ def _in_parts(part, parts: int) -> None:
         raise errors[0]
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _assemble(xl: np.ndarray, k: np.ndarray, nk: np.ndarray, lrow: np.ndarray,
+              buf: np.ndarray, out: np.ndarray) -> None:
+    """out[i, j] = exp(lrow[j] + k[j] ln xl[i] + nk[j] ln(1 - xl[i])): four
+    longdouble passes in buf's two halves (buf: (2, >= out.size)), then the
+    cast into out and exp, so a value has the same bits in any tile."""
+    m, w = out.shape
+    # contiguous m x w buffers: strided views cost numpy a cast buffer
+    er, tr = buf[:, : m * w].reshape(2, m, w)
+    np.multiply(np.log(xl)[:, None], k, out=er)
+    np.add(lrow, er, out=er)
+    np.multiply(np.log1p(-xl)[:, None], nk, out=tr)
+    np.add(er, tr, out=er)
+    out[...] = er
+    np.exp(out, out=out)
+
+
 def _edges(n: int, xs: np.ndarray, klo: int, khi: int) -> tuple[int, int]:
     """The indices lo..end-1 of klo..khi between the lower Chernoff edge
     of min(xs) and the upper edge of max(xs) (see _zero_reach; both edges
@@ -179,13 +203,11 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
     rows at x = 0 and x = 1 are unit vectors (zero outside the index
     window).
 
-    A block is assembled a tile of rows at a time, and each tile only
-    between the Chernoff edges of its own smallest and largest x
-    (_edges); the rest of its rows is set to 0.0, which is what exp
-    returns there anyway.  The block's edges size the tiles and the part
-    count; the parts take the next tile until none is left.  The columns
-    a tile assembles go through the same operations in the same order as
-    a full-width block, so every value is the same to the bit.
+    A block is assembled a tile of rows at a time, each only between the
+    Chernoff edges of its own smallest and largest x (_edges); the rest
+    of its rows is set to 0.0, which is what exp returns there anyway.
+    The block's edges size the tiles and the part count.  Every value has
+    the bits of a full-width block.
     """
     khi = n if khi is None else khi
     k = np.arange(klo, khi + 1, dtype=_LD)
@@ -193,7 +215,7 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
     lrow = _binom_log_row(n)[klo : khi + 1]
     step = max(1, _BLOCK_VALUES // k.size)
     out = np.empty((min(step, x.size), k.size))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cpus = _cpus()
     for a in range(0, x.size, step):
         rows = slice(a, min(a + step, x.size))
         xb = x[rows]
@@ -202,7 +224,7 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
         width = end - lo
         tile = max(1, _PART_VALUES // max(width, 1))
         xl = xb.astype(_LD)
-        parts = max(1, min(xb.size, xb.size * width // _PART_VALUES, cpus or 1))
+        parts = max(1, min(xb.size, xb.size * width // _PART_VALUES, cpus))
         # a tile buffer pair per part, made on this thread: made on a worker,
         # it came from that thread's malloc arena, and peak RSS varied by 1.8 MiB
         pool = [np.empty((2, min(tile, xb.size) * width), _LD) for _ in range(parts)]
@@ -219,17 +241,8 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
                         return
                     s = slice(b, min(b + tile, xb.size))
                     j0, j1 = (j - klo for j in _edges(n, xb[s], lo, end - 1))
-                    m, w = s.stop - b, j1 - j0
-                    # contiguous m x w buffers: strided views cost numpy a cast buffer
-                    er, tr = buf[:, : m * w].reshape(2, m, w)
                     o[s, :j0] = o[s, j1:] = 0.0
-                    ow = o[s, j0:j1]
-                    np.multiply(np.log(xl[s])[:, None], k[j0:j1], out=er)
-                    np.add(lrow[j0:j1], er, out=er)
-                    np.multiply(np.log1p(-xl[s])[:, None], nk[j0:j1], out=tr)
-                    np.add(er, tr, out=er)
-                    ow[...] = er
-                    np.exp(ow, out=ow)
+                    _assemble(xl[s], k[j0:j1], nk[j0:j1], lrow[j0:j1], buf, o[s, j0:j1])
         _in_parts(part, parts)
         # the log-space form leaves 0 * -inf = NaN where 0**0 = 1 is
         # meant; every other entry of an endpoint row is exp(-inf) = 0
@@ -251,15 +264,6 @@ def _inverse_weights(n: int, u: float, v: float) -> np.ndarray:
     return t**-u * (1.0 - t) ** -v
 
 
-def basis_value(n: int, k: int, x: float) -> float:
-    """p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k), evaluated in log space."""
-    n = _check_degree(n)
-    if not 0 <= k <= n or int(k) != k:
-        raise ValueError(f"index k must be an integer in 0..{n}, got {k!r}")
-    k = int(k)
-    return float(_row(n, x, k, k)[0])
-
-
 def basis_row(n: int, x: float) -> np.ndarray:
     """p_{n,k}(x) for k = 0..n as a read-only array (non-negative, sums to 1)."""
     w = _row(_check_degree(n, 1), x)
@@ -267,18 +271,63 @@ def basis_row(n: int, x: float) -> np.ndarray:
     return w
 
 
+def _bands(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last index of each abscissa's band, within 0..n."""
+    r = _BAND_EXPONENT
+    t = r / 3.0 + np.sqrt(r * r / 9.0 + 2.0 * r * n * x * (1.0 - x))
+    lo, hi = np.maximum(np.floor(n * x - t), 0), np.minimum(np.ceil(n * x + t), n)
+    return lo.astype(int), hi.astype(int)
+
+
+def _banded_apply(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sum_k s[k] p_{n,k}(x) over each band, for increasing x in (0, 1):
+    each tile is assembled on its columns, entries outside their row's
+    band are set to 0.0, and the tile is dotted with its slice of s."""
+    n = s.size - 1
+    lo, hi = _bands(n, x)
+    # tiles (b, e, j0, j1): the longest run of rows b..e-1, at least one,
+    # whose union j0..j1-1 of bands holds at most _PART_VALUES values
+    tiles, b, cap = collections.deque(), 0, max(1, _PART_VALUES // int((hi - lo).min() + 1))
+    while b < x.size:
+        j0 = np.minimum.accumulate(lo[b : b + cap])
+        j1 = np.maximum.accumulate(hi[b : b + cap]) + 1
+        span = (j1 - j0) * np.arange(1, j0.size + 1)
+        m = max(1, int(np.searchsorted(span, _PART_VALUES, "right")))
+        tiles.append((b, b + m, int(j0[m - 1]), int(j1[m - 1])))
+        b += m
+    cols = np.arange(n + 1)
+    k, lrow, xl, res = cols.astype(_LD), _binom_log_row(n), x.astype(_LD), np.empty(x.size)
+    sizes = [(e - b) * (j1 - j0) for b, e, j0, j1 in tiles]
+    parts = max(1, min(len(tiles), sum(sizes) // _PART_VALUES, _cpus()))
+    # a longdouble buffer pair and a tile per part, made on this thread (see _blocks)
+    pool = [(np.empty((2, max(sizes)), _LD), np.empty(max(sizes))) for _ in range(parts)]
+
+    def part():
+        buf, vals = pool.pop()
+        with np.errstate(under="ignore"):
+            while True:
+                try:
+                    b, e, j0, j1 = tiles.popleft()
+                except IndexError:
+                    return
+                tile, c = vals[: (e - b) * (j1 - j0)].reshape(e - b, j1 - j0), cols[j0:j1]
+                _assemble(xl[b:e], k[j0:j1], n - k[j0:j1], lrow[j0:j1], buf, tile)
+                np.copyto(tile, 0.0, where=(c < lo[b:e, None]) | (c > hi[b:e, None]))
+                res[b:e] = tile @ s[j0:j1]
+    _in_parts(part, parts)
+    return res
+
+
 def bernstein_apply(samples, x):
     """Sum_k samples[k] * p_{n,k}(x) with n = len(samples) - 1.
 
-    x may be a scalar or an ndarray; interior abscissae are evaluated in
-    basis blocks, so rows are never materialised for the whole grid at
-    once, and x = 0, 1 take the end samples.
-
-    The last bit of a value depends on which abscissae share its block:
-    ``block @ s`` is a BLAS gemv, which sums each row in an order set by
-    the kernel, the block shape and the BLAS thread count (on the refined
-    grid at n = 16384, one and two OpenBLAS threads differ by up to
-    6.2e-15).  The row split of the block's assembly moves no bit.
+    x may be a scalar or an ndarray; x = 0, 1 take the end samples.  An
+    interior x sums only its band (_BAND_EXPONENT): a value differs from
+    the full sum by at most 2 e^-40 max|samples|, plus rounding.  The
+    distinct interior x are sorted and cut into tiles, each dotted with
+    its sample slice by a BLAS gemv whose summation order follows the
+    tile's shape: a value's last bits depend on which abscissae the call
+    holds, but not on their order or repeats, or on the number of CPUs.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or s.size == 0:
@@ -287,29 +336,8 @@ def bernstein_apply(samples, x):
     flat = xs.ravel()
     out = np.where(flat == 0.0, s[0], s[-1])
     inner = np.flatnonzero((flat > 0.0) & (flat < 1.0))
-    for rows, block in _blocks(s.size - 1, flat[inner]):
-        out[inner[rows]] = block @ s
+    if inner.size:
+        # each x once: a gemv may round equal rows of a tile differently
+        xu, back = np.unique(flat[inner], return_inverse=True)
+        out[inner] = _banded_apply(s, xu)[back]
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
-
-
-def central_moment_sum(n: int, gamma: float, x: float) -> float:
-    """Sum_k p_{n,k}(x) |k - n x|^gamma."""
-    n = _check_degree(n, 1)
-    if not math.isfinite(gamma):
-        raise ValueError(f"gamma must be finite, got {gamma!r}")
-    # |k - n x|^gamma is 0**gamma at k = n x; this includes x in {0, 1}
-    if gamma < 0 and float(n * x).is_integer():
-        raise ValueError(f"negative gamma is undefined where n*x is an index, got n*x = {n * x!r}")
-    d = np.abs(np.arange(n + 1, dtype=float) - n * x)
-    with np.errstate(divide="ignore"):
-        return float(np.dot(_row(n, x), d**gamma))
-
-
-def inverse_moment_sum(n: int, u: float, v: float, x: float) -> float:
-    """Sum over interior indices k = 1..n-1 of (k/n)^-u (1-k/n)^-v p_{n,k}(x)."""
-    n = _check_degree(n, 2)
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"abscissa must lie in (0,1), got {x!r}")
-    if not (math.isfinite(u) and math.isfinite(v)) or u < 0 or v < 0:
-        raise ValueError(f"exponents u, v must be finite and non-negative, got {u!r}, {v!r}")
-    return float(np.dot(_row(n, x, 1, n - 1), _inverse_weights(n, u, v)))

@@ -2,13 +2,11 @@
 rate estimation, and the CLI."""
 
 from .checks import (
-    an_sum,
     direct_check,
     error_decay,
     error_field,
     inverse_check,
     kendall_tau,
-    lemma6_sum,
     lemma_suite,
     operator_dump,
     sequence_verdict,

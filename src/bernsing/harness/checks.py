@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ..basis import _blocks, _check_degree, _inverse_weights, _row
+from ..basis import _blocks, _inverse_weights
 from ..blending import TestFunction, _evaluate, bridge_p, fbar_d2, knots
 from ..exceptions import Degenerate, MissingExponent
 from ..moduli import T_MAX, ModulusConfig, quadrature_bound_ratio, modulus_curve
@@ -34,8 +34,6 @@ from .rates import LemmaResult, RateReport, RateRow, fit_rate
 __all__ = [
     "kendall_tau",
     "sequence_verdict",
-    "an_sum",
-    "lemma6_sum",
     "error_field",
     "direct_check",
     "inverse_check",
@@ -88,24 +86,6 @@ def _window(n: int, xi: float) -> tuple[int, int]:
     """Indices within sqrt(n) of n*xi (never empty: the span is 2 sqrt(n) >= 2)."""
     s = math.sqrt(n)
     return max(0, math.ceil(n * xi - s)), min(n, math.floor(n * xi + s))
-
-
-def an_sum(n: int, params: WeightParams, x: float) -> float:
-    """wbar(x) times the basis mass of the indices within sqrt(n) of
-    n*xi (the samples the bridge replaces)."""
-    n = _check_degree(n, 1)
-    klo, khi = _window(n, params.xi)
-    return wbar(params, x) * float(_row(n, x, klo, khi).sum())
-
-
-def lemma6_sum(n: int, params: WeightParams, beta: float, x: float) -> float:
-    """wbar(x) * sum over the same index window of |k - n x|^beta p_{n,k}(x)."""
-    n = _check_degree(n, 1)
-    if not math.isfinite(beta) or beta < 0:
-        raise ValueError(f"beta must be finite and non-negative, got {beta!r}")
-    klo, khi = _window(n, params.xi)
-    d = np.abs(np.arange(klo, khi + 1, dtype=float) - n * x)
-    return wbar(params, x) * float(np.dot(_row(n, x, klo, khi), d**beta))
 
 
 def error_field(f: TestFunction, n: int, params: WeightParams, grid: EvalGrid) -> np.ndarray:

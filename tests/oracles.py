@@ -1,15 +1,22 @@
 """Independent oracles used only by the tests.
 
-Everything here is a from-scratch reimplementation (exact binomials,
+Most of this is a from-scratch reimplementation (exact binomials,
 explicit four-sum operator, finite differences) kept deliberately
-separate from the library's evaluation paths.  The one exception is the
+separate from the library's evaluation paths.  Two parts are not: the
 log-binomial table that full_width_block reads, for the reason in its
-docstring.
+docstring, and the scalar sums (basis_value to lemma6_sum), which take
+one basis row at a time from the library's row path.  The lemma sweep
+reads whole blocks through moment tables of its own, so they check it
+one abscissa at a time.
 """
 import math
 
 import mpmath
 import numpy as np
+
+from bernsing.basis import _check_degree, _inverse_weights, _row
+from bernsing.harness.checks import _window
+from bernsing.weights import wbar
 
 
 def naive_basis(n, k, x):
@@ -62,6 +69,56 @@ def full_width_block(n, x, klo, khi):
     if khi == n:
         out[x == 1.0, -1] = 1.0
     return out
+
+
+def basis_value(n, k, x):
+    """p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k), evaluated in log space."""
+    n = _check_degree(n)
+    if not 0 <= k <= n or int(k) != k:
+        raise ValueError(f"index k must be an integer in 0..{n}, got {k!r}")
+    k = int(k)
+    return float(_row(n, x, k, k)[0])
+
+
+def central_moment_sum(n, gamma, x):
+    """Sum_k p_{n,k}(x) |k - n x|^gamma."""
+    n = _check_degree(n, 1)
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
+    # |k - n x|^gamma is 0**gamma at k = n x; this includes x in {0, 1}
+    if gamma < 0 and float(n * x).is_integer():
+        raise ValueError(f"negative gamma is undefined where n*x is an index, got n*x = {n * x!r}")
+    d = np.abs(np.arange(n + 1, dtype=float) - n * x)
+    with np.errstate(divide="ignore"):
+        return float(np.dot(_row(n, x), d**gamma))
+
+
+def inverse_moment_sum(n, u, v, x):
+    """Sum over interior indices k = 1..n-1 of (k/n)^-u (1-k/n)^-v p_{n,k}(x)."""
+    n = _check_degree(n, 2)
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"abscissa must lie in (0,1), got {x!r}")
+    if not (math.isfinite(u) and math.isfinite(v)) or u < 0 or v < 0:
+        raise ValueError(f"exponents u, v must be finite and non-negative, got {u!r}, {v!r}")
+    return float(np.dot(_row(n, x, 1, n - 1), _inverse_weights(n, u, v)))
+
+
+def an_sum(n, params, x):
+    """wbar(x) times the basis mass of the indices within sqrt(n) of
+    n*xi (the samples the bridge replaces)."""
+    n = _check_degree(n, 1)
+    klo, khi = _window(n, params.xi)
+    return wbar(params, x) * float(_row(n, x, klo, khi).sum())
+
+
+def lemma6_sum(n, params, beta, x):
+    """wbar(x) * sum over the same index window of |k - n x|^beta p_{n,k}(x)."""
+    n = _check_degree(n, 1)
+    if not math.isfinite(beta) or beta < 0:
+        raise ValueError(f"beta must be finite and non-negative, got {beta!r}")
+    klo, khi = _window(n, params.xi)
+    d = np.abs(np.arange(klo, khi + 1, dtype=float) - n * x)
+    return wbar(params, x) * float(np.dot(_row(n, x, klo, khi), d**beta))
 
 
 def quintic_switch(u):

@@ -24,15 +24,22 @@ from bernsing.basis import (
     _row,
     _zero_reach,
     basis_row,
-    basis_value,
     bernstein_apply,
-    central_moment_sum,
-    inverse_moment_sum,
 )
-from bernsing.harness.checks import _window, an_sum, lemma6_sum, sequence_verdict
+from bernsing.harness.checks import _window, sequence_verdict
 from bernsing.weights import WeightParams, wbar
 
-from oracles import full_width_block, mp_row, naive_basis, naive_row
+from oracles import (
+    an_sum,
+    basis_value,
+    central_moment_sum,
+    full_width_block,
+    inverse_moment_sum,
+    lemma6_sum,
+    mp_row,
+    naive_basis,
+    naive_row,
+)
 
 
 class TestBasisValue:
@@ -205,11 +212,12 @@ class TestBernsteinApply:
             bernstein_apply(samples, np.nan)
 
     def test_blocks_match_scalar_path_exactly(self):
-        # n = 4096 leaves 244 rows per basis block, so 1000 abscissae span
-        # four full blocks and a short last one, with x = 0 and x = 1 at
-        # the ends.  One-hot samples make every summation order exact:
-        # a stale workspace row or a wrong endpoint value shows as a
-        # mismatch, while matrix-vector against dot rounding cannot.
+        # At n = 4096 the 998 interior abscissae fill many tiles of the
+        # banded sum, with x = 0 and x = 1 at the ends.  One-hot samples
+        # make every summation order exact: a stale tile row, a sample
+        # slice off by one, a band mask that differs between a tile and
+        # a single row, or a wrong endpoint value shows as a mismatch,
+        # while matrix-vector against dot rounding cannot.
         n = 4096
         xs = np.linspace(0.0, 1.0, 1000)
         for k in range(0, n + 1, 1024):
@@ -228,22 +236,26 @@ class TestBernsteinApply:
     "longdouble; here longdouble is float64, which loses about 1e-12",
 )
 class TestArbitraryPrecisionOracle:
-    # the README's claims (partition of unity to ~1e-15, stable to
-    # degree 2^14) against 40-digit rows
-    @pytest.mark.parametrize("n", [4096, 16384])
-    @pytest.mark.parametrize("x", [0.013, 0.37, 0.5])
+    # the README's claims (rows and partition of unity to degree 2^14,
+    # the operator sum to degree 2^16) against 40-digit rows
+    @pytest.mark.parametrize(("x", "n"), [(x, n) for x in (0.013, 0.37, 0.5)
+                                          for n in (4096, 16384)] + [(0.37, 65536)])
     def test_row_sum_and_apply(self, n, x):
+        # at n = 65536 only the operator sum is claimed: the log-binomial
+        # ln n! - ln k! - ln (n-k)! cancels terms of size 7e5 there, and
+        # the row reads 1.02e-13 per entry and 2.4e-14 in sum
         exact = mp_row(n, x)
-        row = basis_row(n, x)
         samples = np.cos(0.37 * np.arange(n + 1))
         with mpmath.workdps(40):
+            applied = mpmath.fsum(p * float(s) for p, s in zip(exact, samples))
+            assert abs(bernstein_apply(samples, x) - applied) <= 1e-15
+            if n > 16384:
+                return
+            row = basis_row(n, x)
             rel = max(abs(mpmath.mpf(float(w)) - p) / p
                       for w, p in zip(row, exact) if p > 1e-300)
-            applied = mpmath.fsum(p * float(s) for p, s in zip(exact, samples))
-            apply_err = abs(bernstein_apply(samples, x) - applied)
         assert rel <= 1e-13
         assert abs(math.fsum(row) - 1.0) <= 1e-14
-        assert apply_err <= 1e-15
 
     # The moment sums against the 40-digit row, rounded once to float64
     # and summed with fsum against the same float64 weights, so the
@@ -354,6 +366,81 @@ class TestExactZeroWindow:
                     assert r == hoeffding, (x, a)
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """A setter for the number of CPUs the kernel sees as usable."""
+    def use(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                            raising=False)
+    return use
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """The number of threads started so far, as a one-item list."""
+    count = [0]
+    start = threading.Thread.start
+
+    def counted(thread):
+        count[0] += 1
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return count
+
+
+class TestBandedApply:
+    # bernstein_apply sums each interior abscissa over its Bernstein band
+    # (basis._bands), in tiles of sorted distinct abscissae.
+
+    @pytest.mark.parametrize("n", [64, 1024, 16384, 65536])
+    def test_band_mass_within_bernstein_bound(self, n, grid):
+        # the full-width row's mass outside the band is at most
+        # 2 exp(-40) ~ 8.5e-18, with slack for the float64 entries' own
+        # rounding.  The oracle's entries are exactly 0.0 beyond sqrt(375 n)
+        # of n x (TestExactZeroWindow), so each chunk of sorted rows only
+        # evaluates the columns within that radius.
+        bound = 2.0 * math.exp(-basis._BAND_EXPONENT) * (1.0 + 1e-12)
+        reach = math.sqrt(375 * n)
+        for xs in (grid.points, TestExactZeroWindow._mixed()):
+            x = np.sort(xs[(xs > 0.0) & (xs < 1.0)])
+            lo, hi = basis._bands(n, x)
+            worst = 0.0
+            for a in range(0, x.size, 16):
+                rows = slice(a, a + 16)
+                klo = max(0, math.floor(n * x[rows].min() - reach))
+                khi = min(n, math.ceil(n * x[rows].max() + reach))
+                p = full_width_block(n, x[rows], klo, khi)
+                k = np.arange(klo, khi + 1)
+                out = (k < lo[rows, None]) | (k > hi[rows, None])
+                worst = max(worst, float(np.where(out, p, 0.0).sum(axis=1).max()))
+            assert worst <= bound, (worst, bound)
+
+    @pytest.mark.parametrize("n", [1024, 16384, 65536])
+    def test_apply_bytes_on_any_cpus_and_order(self, n, grid, cpus, starts):
+        # endpoint-cluster and mid-grid rows, each repeated 8 times, and
+        # every 4th grid point: the same bits on 1, 2 and 7 CPUs (threads
+        # switching as often as they can) and for sorted and shuffled x
+        xs = np.concatenate([np.tile(TestExactZeroWindow._mixed(), 8), grid.points[::4]])
+        s = np.random.default_rng(n).standard_normal(n + 1)
+        order = np.argsort(xs, kind="stable")
+        cpus(1)
+        want = np.empty_like(xs)
+        want[order] = bernstein_apply(s, xs[order])
+        shuffle = np.random.default_rng(7).permutation(xs.size)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for count in (1, 2, 7):
+                cpus(count)
+                for perm in (order, shuffle):
+                    got = bernstein_apply(s, xs[perm])
+                    assert (got.view(np.uint64) == want[perm].view(np.uint64)).all(), count
+        finally:
+            sys.setswitchinterval(interval)
+        assert starts[0] > 0
+
+
 class TestRowSplit:
     # _blocks splits each block's elementwise work by rows into one part
     # per usable CPU.  Every entry sees the same operations however the
@@ -364,27 +451,6 @@ class TestRowSplit:
         # one whole block, x = 0 in its first part and x = 1 in its last
         rows = _BLOCK_VALUES // (n + 1)
         return np.concatenate([[0.0], np.linspace(0.3, 0.7, rows - 2), [1.0]])
-
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        """A setter for the number of CPUs the kernel sees as usable."""
-        def use(count):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                                raising=False)
-        return use
-
-    @pytest.fixture
-    def starts(self, monkeypatch):
-        """The number of threads started so far, as a one-item list."""
-        count = [0]
-        start = threading.Thread.start
-
-        def counted(thread):
-            count[0] += 1
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counted)
-        return count
 
     @pytest.mark.parametrize("n", [1024, 16384, 65536])
     def test_any_part_count_gives_the_full_width_bits(self, n, cpus, starts):
@@ -426,12 +492,12 @@ class TestRowSplit:
 
     @pytest.mark.parametrize("count", [1, 2])
     def test_apply_peak_memory_is_the_block_and_tiles(self, count, cpus, grid):
-        # the longdouble assembly holds two tiles of about _PART_VALUES
-        # values per part (512 KiB each), not two block-sized workspaces
+        # the banded sum holds per part a longdouble buffer pair (1 MiB)
+        # and a float64 tile (256 KiB) of about _PART_VALUES values each,
+        # and no block: measured 2.2 MiB on one CPU and 3.7 MiB on two
         n = 16384
         s = np.cos(0.37 * np.arange(n + 1))
         _binom_log_row(n)  # the cached table is not the call's working memory
-        block = min(_BLOCK_VALUES // (n + 1), grid.points.size) * (n + 1) * 8
         cpus(count)
         tracemalloc.start()
         try:
@@ -439,7 +505,7 @@ class TestRowSplit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= block + 4 * 2**20, (peak, block)
+        assert peak <= 5 * 2**20, peak
 
     def test_split_block_allocates_on_the_calling_thread(self, cpus, starts, grid,
                                                          monkeypatch):
@@ -461,6 +527,13 @@ class TestRowSplit:
         large = [tid for tid, nbytes in made if nbytes >= 64 * 1024]
         assert len(large) >= 3  # the output block and a buffer pair per part
         assert set(large) == {threading.get_ident()}
+        made.clear()
+        before = starts[0]
+        bernstein_apply(np.cos(0.37 * np.arange(16385)), grid.points)
+        assert starts[0] > before
+        large = [tid for tid, nbytes in made if nbytes >= 64 * 1024]
+        assert len(large) >= 4  # a buffer pair and a tile per part
+        assert set(large) == {threading.get_ident()}
 
     def test_small_blocks_start_no_thread(self, cpus, starts):
         cpus(7)
@@ -468,6 +541,7 @@ class TestRowSplit:
             _row(n, 0.3)
             basis_value(n, n // 3, 0.3)
             central_moment_sum(n, 2.0, 0.3)
+            bernstein_apply(np.ones(n + 1), [0.2, 0.3])
         assert starts[0] == 0
 
     def test_callers_errstate_does_not_raise(self, cpus, starts):
@@ -479,7 +553,9 @@ class TestRowSplit:
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
             (_, got), = _blocks(n, xs)
-        assert starts[0] == 1
+            # and the banded sum, at x = 1e-300 among others
+            bernstein_apply(np.ones(n + 1), np.append(xs, TestExactZeroWindow.EDGE_X))
+        assert starts[0] == 2
         assert (got == full_width_block(n, xs, 0, n)).all()
 
     def test_a_failing_part_raises_after_the_join(self):
@@ -523,8 +599,10 @@ class TestRowSplit:
             sys.setswitchinterval(interval)
 
     def test_apply_exponentiates_only_tile_windows(self, grid, monkeypatch):
-        # entries handed to exp on the refined grid at n = 16384: 17,736,996
-        # with one window per block, 16,900,027 with one per tile
+        # entries handed to exp on the refined grid at n = 16384: 4,494,564
+        # in tiles spanning their rows' Bernstein bands (the bands alone
+        # hold 3,961,728), where full-width blocks took 16,900,027 within
+        # per-tile Chernoff edges
         sizes = []
 
         def exp(a, *args, _exp=np.exp, **kw):
@@ -533,11 +611,11 @@ class TestRowSplit:
 
         monkeypatch.setattr(np, "exp", exp)
         bernstein_apply(np.cos(0.37 * np.arange(16385)), grid.points)
-        assert sum(sizes) <= 16_950_000, sum(sizes)
+        assert sum(sizes) <= 4_500_000, sum(sizes)
 
     def test_fork_after_a_split_block(self, cpus, starts):
         # a forked child must not wait on workers its parent started;
-        # the split starts and joins plain threads per block, so none is left
+        # the split starts and joins plain threads per call, so none is left
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method")
         cpus(2)

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,19 @@ from bernsing.harness.cli import _parse_sweep, UsageError, run_cli
 
 BASE = ["--xi", "0.5", "--alpha", "1", "--beta0", "0.5", "--beta1", "0.5"]
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
+_NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
+
+
+def assert_numbers_close(got: str, want: str, rel: float) -> None:
+    """The same text around the numbers, the same integers, and every
+    other number within rel relative of want's."""
+    g, w = _NUMBER.split(got), _NUMBER.split(want)
+    assert len(g) == len(w)
+    for i, (a, b) in enumerate(zip(g, w)):
+        if i % 2 == 0 or not any(c in b for c in ".eE"):
+            assert a == b, (i, a, b)
+        else:
+            assert abs(float(a) - float(b)) <= rel * abs(float(b)), (a, b)
 
 
 class TestSweepParsing:
@@ -208,14 +222,19 @@ class TestDeterminism:
         assert out.read_bytes() == (REFERENCE / "modulus-dense" / "xi-0.50.csv").read_bytes()
 
     def test_rates_match_reference(self, tmp_path):
-        # The deep sweep runs _blocks split across the usable CPUs.  It runs
-        # in this process after whatever degrees earlier tests asked for:
-        # the log-factorial table grows in fixed segments, so its bits do
-        # not depend on them.
+        # bernstein_apply sums each abscissa over its Bernstein band and
+        # leaves out at most 2 e^-40 of a row's mass, and its tiles sum in
+        # another order than the full-width blocks that wrote the
+        # reference: the numbers agree to 1e-12 relative (largest change
+        # measured over the nine reference xi: 9.3e-16), not to the bit.
+        # It runs in this process after whatever degrees earlier tests
+        # asked for: the log-factorial table grows in fixed segments, so
+        # its bits do not depend on them.
         out = tmp_path / "rates.csv"
         assert run_cli(["rates", "--xi", "0.50", "--alpha", "1", "--function", "inner-root",
                         "--n", "64:16384", "--out", str(out)]) == 0
-        assert out.read_bytes() == (REFERENCE / "rates-deep" / "xi-0.50.csv").read_bytes()
+        assert_numbers_close(out.read_text(),
+                             (REFERENCE / "rates-deep" / "xi-0.50.csv").read_text(), 1e-12)
 
     def test_csv_layout(self, tmp_path):
         out = tmp_path / "r.csv"

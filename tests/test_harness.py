@@ -13,8 +13,6 @@ from bernsing import (
     basis,
     bbar_apply,
     build_operator,
-    central_moment_sum,
-    inverse_moment_sum,
     refined_grid,
     varphi,
     wbar,
@@ -23,7 +21,6 @@ from bernsing import (
 from bernsing.basis import _blocks
 from bernsing.harness import (
     ExperimentConfig,
-    an_sum,
     corpus,
     direct_check,
     error_decay,
@@ -31,7 +28,6 @@ from bernsing.harness import (
     fit_rate,
     inverse_check,
     kendall_tau,
-    lemma6_sum,
     lemma_suite,
     operator_dump,
     sequence_verdict,
@@ -44,7 +40,14 @@ from bernsing.harness.rates import (
     report_to_json,
 )
 
-from oracles import four_sum_operator, naive_basis
+from oracles import (
+    an_sum,
+    central_moment_sum,
+    four_sum_operator,
+    inverse_moment_sum,
+    lemma6_sum,
+    naive_basis,
+)
 
 
 def _cfg(params, sw, **kw):
