@@ -6,10 +6,10 @@ verification harness with a CLI."""
 import os
 
 # One OpenBLAS thread unless the user chose otherwise.  The only BLAS
-# calls are small gemvs (one per lemma-sweep block, one per tile of the
-# operator sum), so a second BLAS thread only spins between them, and
-# the last bits of a gemv depend on the thread count.  This must run before numpy
-# is imported; where numpy was imported first it has no effect.
+# calls are small (a gemv per lemma-sweep block, a gemm with K = 32 per
+# tile of the operator sum), so a second BLAS thread only spins between
+# them, and the last bits of a gemv depend on the thread count.  This must
+# run before numpy is imported; where numpy was imported first it has no effect.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .basis import basis_row, bernstein_apply

@@ -1,28 +1,30 @@
 """Numerically stable Bernstein basis evaluation and the operator sum.
 
-All basis values are computed in log space: a cumulative log-factorial
-table supplies the log-binomial, the exponent is assembled in extended
-precision, and only the final (small-magnitude) exponent is handed to
-``exp`` in double precision.  Direct binomial products would overflow
-near n = 1030; the exponent cancellation (log-binomial against
-k*ln x + (n-k)*ln(1-x), both of size ~n) would cost ~1e-12 of absolute
-accuracy if assembled in float64, which is why the table and assembly
-use ``np.longdouble``; one helper (_assemble) runs it for both paths.
+Basis rows and the lemma sweep's blocks (_blocks) are computed in log
+space: a cumulative log-factorial table supplies the log-binomial, the
+exponent is assembled in extended precision, and only the final
+(small-magnitude) exponent is handed to ``exp`` in double precision.
+Direct binomial products would overflow near n = 1030; the exponent
+cancellation (log-binomial against k*ln x + (n-k)*ln(1-x), both of size
+~n) would cost ~1e-12 of absolute accuracy if assembled in float64,
+which is why the table and assembly use ``np.longdouble``.  A block
+leaves out only entries that float64 ``exp`` returns as exactly 0.0: it
+is assembled a tile of rows at a time, each only between the two
+Chernoff edges of its smallest and largest x, past which p_{n,k}(x) <=
+exp(-n KL(k/n || x)) <= exp(-750); each edge takes four Newton steps
+from the Hoeffding radius sqrt(375 n).  Large blocks run on one thread
+per usable CPU (``taskset`` restricts them), each taking the next tile
+until none is left.  Tiles do not depend on the thread count, and an
+entry goes through the same operations on any thread: no bit moves
+with it.
 
-Basis rows and the lemma sweep's blocks (_blocks) leave out only entries
-that float64 ``exp`` returns as exactly 0.0: a block is assembled a tile
-of rows at a time, each only between the two Chernoff edges of its
-smallest and largest x, past which p_{n,k}(x) <= exp(-n KL(k/n || x)) <=
-exp(-750); each edge takes four Newton steps from the Hoeffding radius
-sqrt(375 n).  The operator sum (bernstein_apply) is banded: each interior
-x sums only |k - n x| <= t(x), outside which a row holds at most
-2 e^-40 ~ 8.5e-18 of its mass, in tiles of sorted x that are each dotted
-with their own sample slice.
-
-Large jobs run on one thread per usable CPU (``taskset`` restricts them),
-each taking the next tile until none is left.  Tiles do not depend on
-the thread count, and an entry goes through the same operations on any
-thread: no bit moves with it.
+The operator sum (bernstein_apply) exponentiates one value per
+abscissa.  Each interior x sums the whole segments of _SEGMENT columns
+that cover |k - n x| <= t(x), outside which a row holds at most
+2 e^-40 ~ 8.5e-18 of its mass.  x > 1/2 is taken as 1 - x with the
+samples reversed, so r = x/(1-x) <= 1.  A term is an anchor p_{n,a}(x)
+times r^l times a binomial ratio C(n, a + l) / C(n, a), so a tile of
+rows is one gemm and one dot product per row, on the calling thread.
 """
 from __future__ import annotations
 
@@ -79,6 +81,12 @@ def _binom_log_row(n: int) -> np.ndarray:
     return row
 
 
+def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
+    """_binom_log_row(n)[k], to the bit, without the row."""
+    _extend_ln_fact(n)
+    return _ln_fact[n] - _ln_fact[k] - _ln_fact[n - k]
+
+
 # Values per lemma-sweep block: it pins the size of those blocks and the
 # block shape that lemma 2's gemv `block @ samples` sees, on which the
 # last bits of its values depend; the rows per block follow the full
@@ -101,6 +109,16 @@ _NEWTON_STEPS = 4
 # t^2 / (2 (sigma^2 + t/3)) = _BAND_EXPONENT, sigma^2 = n x (1 - x), so by
 # Bernstein's inequality the row mass at |k - n x| > t is <= 2 exp(-40).
 _BAND_EXPONENT = 40.0
+
+# The operator sum's segments: the columns a .. a + _SEGMENT - 1 from each
+# anchor a = _SEGMENT q.  A tile's rows times the segments they cover, or
+# times _SEGMENT powers where that is more, stay within _TILE_ANCHORS.
+# A power r^l below _POWER_FLOOR is set to 0.0: its term is below 1e-147
+# (an anchor is <= 1 and C(n, a + l) / C(n, a) <= 5e152 up to n = 2^20),
+# and no denormal reaches the gemm.
+_SEGMENT = 32
+_TILE_ANCHORS = 1 << 13
+_POWER_FLOOR = 1e-300
 
 
 def _zero_reach(n: int, a: float, b: float) -> float:
@@ -168,22 +186,6 @@ def _cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _assemble(xl: np.ndarray, k: np.ndarray, nk: np.ndarray, lrow: np.ndarray,
-              buf: np.ndarray, out: np.ndarray) -> None:
-    """out[i, j] = exp(lrow[j] + k[j] ln xl[i] + nk[j] ln(1 - xl[i])): four
-    longdouble passes in buf's two halves (buf: (2, >= out.size)), then the
-    cast into out and exp, so a value has the same bits in any tile."""
-    m, w = out.shape
-    # contiguous m x w buffers: strided views cost numpy a cast buffer
-    er, tr = buf[:, : m * w].reshape(2, m, w)
-    np.multiply(np.log(xl)[:, None], k, out=er)
-    np.add(lrow, er, out=er)
-    np.multiply(np.log1p(-xl)[:, None], nk, out=tr)
-    np.add(er, tr, out=er)
-    out[...] = er
-    np.exp(out, out=out)
-
-
 def _edges(n: int, xs: np.ndarray, klo: int, khi: int) -> tuple[int, int]:
     """The indices lo..end-1 of klo..khi between the lower Chernoff edge
     of min(xs) and the upper edge of max(xs) (see _zero_reach; both edges
@@ -242,7 +244,17 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
                     s = slice(b, min(b + tile, xb.size))
                     j0, j1 = (j - klo for j in _edges(n, xb[s], lo, end - 1))
                     o[s, :j0] = o[s, j1:] = 0.0
-                    _assemble(xl[s], k[j0:j1], nk[j0:j1], lrow[j0:j1], buf, o[s, j0:j1])
+                    # the exponent in four longdouble passes, in contiguous
+                    # buffers (strided views cost numpy a cast buffer),
+                    # then the cast and exp
+                    v = o[s, j0:j1]
+                    er, tr = buf[:, : v.size].reshape(2, *v.shape)
+                    np.multiply(np.log(xl[s])[:, None], k[j0:j1], out=er)
+                    np.add(lrow[j0:j1], er, out=er)
+                    np.multiply(np.log1p(-xl[s])[:, None], nk[j0:j1], out=tr)
+                    np.add(er, tr, out=er)
+                    v[...] = er
+                    np.exp(v, out=v)
         _in_parts(part, parts)
         # the log-space form leaves 0 * -inf = NaN where 0**0 = 1 is
         # meant; every other entry of an endpoint row is exp(-inf) = 0
@@ -279,55 +291,107 @@ def _bands(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo.astype(int), hi.astype(int)
 
 
-def _banded_apply(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sum_k s[k] p_{n,k}(x) over each band, for increasing x in (0, 1):
-    each tile is assembled on its columns, entries outside their row's
-    band are set to 0.0, and the tile is dotted with its slice of s."""
+def _segments(n: int, s: np.ndarray, qa: int, qb: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the anchors a = _SEGMENT q, q = qa..qb, the table
+    h[q - qa, l] = s[a + l] C(n, a + l) / C(n, a) (0 past n) and the steps
+    C(n, a + _SEGMENT) / C(n, a) in longdouble.  Each segment is a
+    longdouble cumprod of (n - k)/(k + 1) from its own anchor, so no value
+    depends on qa or qb; _TILE_ANCHORS values at a time bound the
+    longdouble temporaries."""
+    a, size = _SEGMENT * qa, _SEGMENT * (qb - qa + 1)
+    h, steps = np.zeros((qb - qa + 1, _SEGMENT)), np.empty(qb - qa + 1, _LD)
+    samples = s[a : a + size]
+    h.flat[: samples.size] = samples
+    for c in range(0, size, _TILE_ANCHORS):
+        k = np.arange(a + c, a + min(c + _TILE_ANCHORS, size), dtype=_LD).reshape(-1, _SEGMENT)
+        g = np.cumprod(np.maximum(n - k, 0) / (k + 1), axis=1)
+        q = slice(c // _SEGMENT, c // _SEGMENT + g.shape[0])
+        steps[q] = g[:, -1]
+        h[q, 1:] *= g[:, :-1].astype(float)
+    return h, steps
+
+
+def _segment_sum(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sum_k s[k] p_{n,k}(x) over the whole segments that cover each
+    band, for increasing x in (0, 1/2], where r = x/(1-x) <= 1.
+
+    A term is p_{n,a}(x) r^l h[q, l] with a = _SEGMENT q: per tile of
+    rows, one gemm of the powers r^l against the table (_segments) and
+    one dot product of each row with its anchors p_{n,a}(x).  The first
+    anchor is the longdouble exp of its log-space exponent, every later
+    one the last times its step times r^_SEGMENT."""
     n = s.size - 1
     lo, hi = _bands(n, x)
-    # tiles (b, e, j0, j1): the longest run of rows b..e-1, at least one,
-    # whose union j0..j1-1 of bands holds at most _PART_VALUES values
-    tiles, b, cap = collections.deque(), 0, max(1, _PART_VALUES // int((hi - lo).min() + 1))
+    q0, q1 = lo // _SEGMENT, hi // _SEGMENT
+    qa = int(q0.min())
+    h, steps = _segments(n, s, qa, int(q1.max()))
+    xl = x.astype(_LD)
+    r = xl / (1.0 - xl)
+    lnx, ln1x = np.log(xl), np.log1p(-xl)
+    res = np.empty(x.size)
+    b = 0
     while b < x.size:
-        j0 = np.minimum.accumulate(lo[b : b + cap])
-        j1 = np.maximum.accumulate(hi[b : b + cap]) + 1
-        span = (j1 - j0) * np.arange(1, j0.size + 1)
-        m = max(1, int(np.searchsorted(span, _PART_VALUES, "right")))
-        tiles.append((b, b + m, int(j0[m - 1]), int(j1[m - 1])))
-        b += m
-    cols = np.arange(n + 1)
-    k, lrow, xl, res = cols.astype(_LD), _binom_log_row(n), x.astype(_LD), np.empty(x.size)
-    sizes = [(e - b) * (j1 - j0) for b, e, j0, j1 in tiles]
-    parts = max(1, min(len(tiles), sum(sizes) // _PART_VALUES, _cpus()))
-    # a longdouble buffer pair and a tile per part, made on this thread (see _blocks)
-    pool = [(np.empty((2, max(sizes)), _LD), np.empty(max(sizes))) for _ in range(parts)]
-
-    def part():
-        buf, vals = pool.pop()
-        with np.errstate(under="ignore"):
-            while True:
-                try:
-                    b, e, j0, j1 = tiles.popleft()
-                except IndexError:
-                    return
-                tile, c = vals[: (e - b) * (j1 - j0)].reshape(e - b, j1 - j0), cols[j0:j1]
-                _assemble(xl[b:e], k[j0:j1], n - k[j0:j1], lrow[j0:j1], buf, tile)
-                np.copyto(tile, 0.0, where=(c < lo[b:e, None]) | (c > hi[b:e, None]))
-                res[b:e] = tile @ s[j0:j1]
-    _in_parts(part, parts)
+        # the longest run of rows b..e-1, at least one, whose union ta..tb
+        # of segments stays within _TILE_ANCHORS (see there)
+        ta = np.minimum.accumulate(q0[b : b + _TILE_ANCHORS // _SEGMENT])
+        tb = np.maximum.accumulate(q1[b : b + _TILE_ANCHORS // _SEGMENT])
+        cost = np.maximum(tb - ta + 1, _SEGMENT) * np.arange(1, ta.size + 1)
+        m = max(1, int(np.searchsorted(cost, _TILE_ANCHORS, "right")))
+        e, ta, tb = b + m, int(ta[m - 1]), int(tb[m - 1])
+        # r^0 .. r^_SEGMENT; powers below _POWER_FLOOR become 0.0
+        power = np.empty((m, _SEGMENT + 1), _LD)
+        power[:, 0], power[:, 1:] = 1.0, r[b:e, None]
+        np.cumprod(power, axis=1, out=power)
+        rl = power[:, :_SEGMENT].astype(float)
+        np.copyto(rl, 0.0, where=rl < _POWER_FLOOR)
+        y = rl @ h[ta - qa : tb - qa + 1].T
+        # the anchor chain: 1.0 before a row's first segment, so no row
+        # depends on its tile-mates
+        a0 = _SEGMENT * q0[b:e]
+        first = np.exp(_log_binom(n, a0) + a0 * lnx[b:e] + (n - a0) * ln1x[b:e])
+        col = np.arange(ta, tb + 1)
+        before = col < q0[b:e, None]
+        chain = np.empty((m, tb - ta + 1), _LD)
+        np.multiply(steps[ta - qa : tb - qa], power[:, _SEGMENT, None], out=chain[:, 1:])
+        np.copyto(chain, 1.0, where=before)
+        chain[np.arange(m), q0[b:e] - ta] = first
+        np.cumprod(chain, axis=1, out=chain)
+        anchors = chain.astype(float)
+        np.copyto(anchors, 0.0, where=before | (col > q1[b:e, None]))
+        res[b:e] = np.vecdot(anchors, y)
+        b = e
     return res
+
+
+def _banded_apply(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sum_k s[k] p_{n,k}(x) over the segments covering each band, for
+    increasing distinct x in (0, 1): x > 1/2 as 1 - x (exact there) with
+    the samples reversed.  The samples are scaled by a power of two below
+    1 in magnitude, so no partial sum overflows."""
+    e = int(np.frexp(np.abs(s).max())[1])
+    s = np.ldexp(s, -e)
+    half = int(np.searchsorted(x, 0.5, "right"))
+    res = np.empty(x.size)
+    # powers and anchors far from a band underflow to 0.0, as they may
+    with np.errstate(under="ignore"):
+        if half:
+            res[:half] = _segment_sum(s, x[:half])
+        if half < x.size:
+            res[half:] = _segment_sum(s[::-1], 1.0 - x[half:][::-1])[::-1]
+    return np.ldexp(res, e)
 
 
 def bernstein_apply(samples, x):
     """Sum_k samples[k] * p_{n,k}(x) with n = len(samples) - 1.
 
     x may be a scalar or an ndarray; x = 0, 1 take the end samples.  An
-    interior x sums only its band (_BAND_EXPONENT): a value differs from
-    the full sum by at most 2 e^-40 max|samples|, plus rounding.  The
-    distinct interior x are sorted and cut into tiles, each dotted with
-    its sample slice by a BLAS gemv whose summation order follows the
-    tile's shape: a value's last bits depend on which abscissae the call
-    holds, but not on their order or repeats, or on the number of CPUs.
+    interior x sums only the segments that cover its band
+    (_BAND_EXPONENT): a value differs from the full sum by at most
+    2 e^-40 max|samples|, plus rounding.  The distinct interior x are
+    sorted and cut into tiles, each summed by one BLAS gemm over the
+    segments its rows cover and one dot product per row: a value's last
+    bits depend on which abscissae the call holds, but not on their
+    order or repeats, or on the number of CPUs.  No thread is started.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or s.size == 0:
@@ -337,7 +401,7 @@ def bernstein_apply(samples, x):
     out = np.where(flat == 0.0, s[0], s[-1])
     inner = np.flatnonzero((flat > 0.0) & (flat < 1.0))
     if inner.size:
-        # each x once: a gemv may round equal rows of a tile differently
+        # each x once: a gemm may round equal rows of a tile differently
         xu, back = np.unique(flat[inner], return_inverse=True)
         out[inner] = _banded_apply(s, xu)[back]
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)

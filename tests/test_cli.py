@@ -215,18 +215,24 @@ class TestDeterminism:
         assert out.read_bytes() == (REFERENCE / "lemma-sweep" / f"xi-{xi}.csv").read_bytes()
 
     def test_direct_matches_reference(self, tmp_path):
+        # direct's error field goes through bernstein_apply, whose segment
+        # sum rounds otherwise than the full-width blocks that wrote the
+        # reference: the numbers agree to 1e-12 relative (largest change
+        # measured over the nine reference xi: 6.9e-16), not to the bit
         out = tmp_path / "direct.csv"
         assert run_cli(["direct", "--xi", "0.50", "--alpha", "1", "--function", "inner-cusp",
                         "--alpha0", "1.5", "--grid", "65537", "--n", "64:128",
                         "--out", str(out)]) == 0
-        assert out.read_bytes() == (REFERENCE / "modulus-dense" / "xi-0.50.csv").read_bytes()
+        assert_numbers_close(out.read_text(),
+                             (REFERENCE / "modulus-dense" / "xi-0.50.csv").read_text(), 1e-12)
 
     def test_rates_match_reference(self, tmp_path):
-        # bernstein_apply sums each abscissa over its Bernstein band and
-        # leaves out at most 2 e^-40 of a row's mass, and its tiles sum in
-        # another order than the full-width blocks that wrote the
-        # reference: the numbers agree to 1e-12 relative (largest change
-        # measured over the nine reference xi: 9.3e-16), not to the bit.
+        # bernstein_apply sums each abscissa over the segments that cover
+        # its Bernstein band and leaves out at most 2 e^-40 of a row's
+        # mass, and its products of ratios round otherwise than the
+        # full-width blocks that wrote the reference: the numbers agree to
+        # 1e-12 relative (largest change measured over the nine reference
+        # xi: 5.9e-15), not to the bit.
         # It runs in this process after whatever degrees earlier tests
         # asked for: the log-factorial table grows in fixed segments, so
         # its bits do not depend on them.

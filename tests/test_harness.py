@@ -294,16 +294,23 @@ class TestLemmaSweepsMatchScalarSums:
         slope = fit_rate(list(zip(cfg.n_values, seq5)), scale_name="n").fitted_slope
         assert results["lemma5"].constant == slope
         # lemma 2's max sits at x = 1 for inner-root, inside (0, 1) for
-        # smooth-bump
+        # smooth-bump.  Lemma 2 sums each block row by the block's gemv:
+        # the same gemv over _blocks gives its bits, and the operator sum,
+        # which adds in another order, agrees to 1e-13 relative
         w = wbar(params, grid.points)
         suites = {cfg.function_name: results,
                   "smooth-bump": lemma_suite(replace(cfg, function_name="smooth-bump"))}
         for name, res in suites.items():
             f = corpus(name, params)
             nwf = weighted_sup_norm(f, params, grid)
-            seq2 = [float(np.max(w * np.abs(bbar_apply(build_operator(f, n, params), grid.points))))
-                    / nwf for n in cfg.n_values]
+            seq2, applied = [], []
+            for n in cfg.n_values:
+                op = build_operator(f, n, params)
+                seq2.append(max(float(np.max(w[rows] * np.abs(block @ op.fbar_samples) / nwf))
+                                for rows, block in _blocks(n, grid.points)))
+                applied.append(float(np.max(w * np.abs(bbar_apply(op, grid.points)))) / nwf)
             assert res["lemma2"].constant == max(seq2), name
+            assert res["lemma2"].constant == pytest.approx(max(applied), rel=1e-13, abs=0.0), name
             assert res["lemma2"].detail == f"{name}: {sequence_verdict(seq2)[1]}"
 
     def test_any_row_group_gives_the_scalar_sums(self, sw, monkeypatch):
