@@ -12,11 +12,9 @@ leaves out only entries that float64 ``exp`` returns as exactly 0.0: it
 is assembled a tile of rows at a time, each only between the two
 Chernoff edges of its smallest and largest x, past which p_{n,k}(x) <=
 exp(-n KL(k/n || x)) <= exp(-750); each edge takes four Newton steps
-from the Hoeffding radius sqrt(375 n).  Large blocks run on one thread
-per usable CPU (``taskset`` restricts them), each taking the next tile
-until none is left.  Tiles do not depend on the thread count, and an
-entry goes through the same operations on any thread: no bit moves
-with it.
+from the Hoeffding radius sqrt(375 n).  Tiles run one after another on
+the calling thread, and an entry goes through the same operations in
+any tile, so no bit depends on how the rows are cut.
 
 The operator sum (bernstein_apply) exponentiates one value per
 abscissa.  Each interior x sums the whole segments of _SEGMENT columns
@@ -28,11 +26,7 @@ rows is one gemm and one dot product per row, on the calling thread.
 """
 from __future__ import annotations
 
-import collections
-import functools
 import math
-import os
-import threading
 
 import numpy as np
 
@@ -70,19 +64,8 @@ def _extend_ln_fact(n: int) -> None:
         _ln_fact = out
 
 
-# The bound is a constant: the largest sweep (rates to n = 16384) uses 9 degrees.
-@functools.lru_cache(maxsize=32)
-def _binom_log_row(n: int) -> np.ndarray:
-    """ln C(n, k) for k = 0..n (read-only)."""
-    _extend_ln_fact(n)
-    f = _ln_fact[: n + 1]
-    row = _ln_fact[n] - f - f[::-1]
-    row.flags.writeable = False
-    return row
-
-
 def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
-    """_binom_log_row(n)[k], to the bit, without the row."""
+    """ln C(n, k) at the integer indices k, 0 <= k <= n."""
     _extend_ln_fact(n)
     return _ln_fact[n] - _ln_fact[k] - _ln_fact[n - k]
 
@@ -91,10 +74,9 @@ def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
 # block shape that lemma 2's gemv `block @ samples` sees, on which the
 # last bits of its values depend; the rows per block follow the full
 # index width though only a window is assembled.
-# _PART_VALUES: values at least per part where work is split by rows,
-# and about per tile of a part's assembly.
+# _TILE_VALUES: about the values per tile of a block's assembly.
 _BLOCK_VALUES = 1_000_000
-_PART_VALUES = 1 << 15
+_TILE_VALUES = 1 << 15
 
 # Entries are set to 0.0 unevaluated past the Chernoff edge (_zero_reach)
 # where p_{n,k}(x) <= exp(-n KL(k/n || x)) <= exp(-_ZERO_EXPONENT), below
@@ -158,34 +140,6 @@ def _check_x(x) -> np.ndarray:
     return xs
 
 
-def _in_parts(part, parts: int) -> None:
-    """part() on parts threads, the first this one, all joined before the
-    first error, if any, is re-raised."""
-    if parts == 1:
-        return part()
-    errors = []
-
-    def run():
-        try:
-            part()
-        except BaseException as exc:
-            errors.append(exc)
-    threads = [threading.Thread(target=run) for _ in range(parts - 1)]
-    for th in threads:
-        th.start()
-    run()
-    for th in threads:
-        th.join()
-    if errors:
-        raise errors[0]
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def _edges(n: int, xs: np.ndarray, klo: int, khi: int) -> tuple[int, int]:
     """The indices lo..end-1 of klo..khi between the lower Chernoff edge
     of min(xs) and the upper edge of max(xs) (see _zero_reach; both edges
@@ -208,54 +162,41 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
     A block is assembled a tile of rows at a time, each only between the
     Chernoff edges of its own smallest and largest x (_edges); the rest
     of its rows is set to 0.0, which is what exp returns there anyway.
-    The block's edges size the tiles and the part count.  Every value has
-    the bits of a full-width block.
+    The block's edges size the tiles.  Every value has the bits of a
+    full-width block.
     """
     khi = n if khi is None else khi
     k = np.arange(klo, khi + 1, dtype=_LD)
     nk = n - k
-    lrow = _binom_log_row(n)[klo : khi + 1]
+    lrow = _log_binom(n, np.arange(klo, khi + 1))
     step = max(1, _BLOCK_VALUES // k.size)
     out = np.empty((min(step, x.size), k.size))
-    cpus = _cpus()
     for a in range(0, x.size, step):
         rows = slice(a, min(a + step, x.size))
         xb = x[rows]
         o = out[: xb.size]
         lo, end = _edges(n, xb, klo, khi)
-        width = end - lo
-        tile = max(1, _PART_VALUES // max(width, 1))
+        tile = max(1, _TILE_VALUES // max(end - lo, 1))
         xl = xb.astype(_LD)
-        parts = max(1, min(xb.size, xb.size * width // _PART_VALUES, cpus))
-        # a tile buffer pair per part, made on this thread: made on a worker,
-        # it came from that thread's malloc arena, and peak RSS varied by 1.8 MiB
-        pool = [np.empty((2, min(tile, xb.size) * width), _LD) for _ in range(parts)]
-        starts = collections.deque(range(0, xb.size, tile))
-
-        def part():
-            buf = pool.pop()
-            # a thread starts from numpy's default error state
-            with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-                while True:
-                    try:
-                        b = starts.popleft()
-                    except IndexError:
-                        return
-                    s = slice(b, min(b + tile, xb.size))
-                    j0, j1 = (j - klo for j in _edges(n, xb[s], lo, end - 1))
-                    o[s, :j0] = o[s, j1:] = 0.0
-                    # the exponent in four longdouble passes, in contiguous
-                    # buffers (strided views cost numpy a cast buffer),
-                    # then the cast and exp
-                    v = o[s, j0:j1]
-                    er, tr = buf[:, : v.size].reshape(2, *v.shape)
-                    np.multiply(np.log(xl[s])[:, None], k[j0:j1], out=er)
-                    np.add(lrow[j0:j1], er, out=er)
-                    np.multiply(np.log1p(-xl[s])[:, None], nk[j0:j1], out=tr)
-                    np.add(er, tr, out=er)
-                    v[...] = er
-                    np.exp(v, out=v)
-        _in_parts(part, parts)
+        buf = np.empty((2, min(tile, xb.size) * (end - lo)), _LD)
+        # log 0 and 0 * -inf at x = 0 and 1 (fixed below), and exp
+        # underflow to 0.0 near the edges, as it may
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+            for b in range(0, xb.size, tile):
+                s = slice(b, min(b + tile, xb.size))
+                j0, j1 = (j - klo for j in _edges(n, xb[s], lo, end - 1))
+                o[s, :j0] = o[s, j1:] = 0.0
+                # the exponent in four longdouble passes, in contiguous
+                # buffers (strided views cost numpy a cast buffer), then
+                # the cast and exp
+                v = o[s, j0:j1]
+                er, tr = buf[:, : v.size].reshape(2, *v.shape)
+                np.multiply(np.log(xl[s])[:, None], k[j0:j1], out=er)
+                np.add(lrow[j0:j1], er, out=er)
+                np.multiply(np.log1p(-xl[s])[:, None], nk[j0:j1], out=tr)
+                np.add(er, tr, out=er)
+                v[...] = er
+                np.exp(v, out=v)
         # the log-space form leaves 0 * -inf = NaN where 0**0 = 1 is
         # meant; every other entry of an endpoint row is exp(-inf) = 0
         if lo == 0:

@@ -54,14 +54,14 @@ def full_width_block(n, x, klo, khi):
     The log-binomials come from the library's table: this oracle pins
     which entries the kernel leaves out, not the table, and an equality
     to the bit needs the same table entries."""
-    from bernsing.basis import _binom_log_row
+    from bernsing.basis import _log_binom
 
     ld = np.longdouble
     x = np.asarray(x, dtype=float)
     k = np.arange(klo, khi + 1, dtype=ld)
     xl = x.astype(ld)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        e = _binom_log_row(n)[klo : khi + 1] + np.log(xl) * k
+        e = _log_binom(n, np.arange(klo, khi + 1)) + np.log(xl) * k
         e = e + np.log1p(-xl) * (n - k)
     out = np.exp(e.astype(float))
     if klo == 0:

@@ -1,12 +1,10 @@
 import ctypes
 import glob
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -18,14 +16,13 @@ import pytest
 from bernsing import basis
 from bernsing.basis import (
     _BLOCK_VALUES,
-    _binom_log_row,
     _blocks,
-    _in_parts,
     _row,
     _zero_reach,
     basis_row,
     bernstein_apply,
 )
+from bernsing.harness import ExperimentConfig, lemma_suite
 from bernsing.harness.checks import _window, sequence_verdict
 from bernsing.weights import WeightParams, wbar
 
@@ -148,20 +145,6 @@ class TestBasisRow:
         assert w.shape == (9,) and not w.flags.writeable
         with pytest.raises(ValueError):
             w[0] = 1.0
-
-
-class TestLogBinomialCache:
-    def test_bounded(self):
-        bound = _binom_log_row.cache_info().maxsize
-        for n in range(1000, 1000 + bound + 8):
-            basis_row(n, 0.3)
-        assert _binom_log_row.cache_info().currsize == bound
-
-    def test_entries_without_the_row(self):
-        # the operator sum reads ln C(n, a) at its anchors only
-        for n in (1, 64, 16384, 65536):
-            k = np.arange(n + 1)
-            assert (basis._log_binom(n, k) == _binom_log_row(n)).all(), n
 
 
 class TestLogFactorialTable:
@@ -389,15 +372,6 @@ class TestExactZeroWindow:
 
 
 @pytest.fixture
-def cpus(monkeypatch):
-    """A setter for the number of CPUs the kernel sees as usable."""
-    def use(count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                            raising=False)
-    return use
-
-
-@pytest.fixture
 def starts(monkeypatch):
     """The number of threads started so far, as a one-item list."""
     count = [0]
@@ -440,186 +414,102 @@ class TestBandedApply:
             assert worst <= bound, (worst, bound)
 
     @pytest.mark.parametrize("n", [1024, 16384, 65536])
-    def test_apply_bytes_on_any_cpus_and_order(self, n, grid, cpus, starts):
+    def test_apply_bytes_on_any_cpus_and_order(self, n, grid):
         # endpoint-cluster and mid-grid rows, each repeated 8 times, and
-        # every 4th grid point: the same bits on 1, 2 and 7 CPUs and for
-        # sorted and shuffled x, on the calling thread alone
+        # every 4th grid point: the same bits for sorted and shuffled x.
+        # No CPU count is read, so order and repeats are what could move
+        # a bit.
         xs = np.concatenate([np.tile(TestExactZeroWindow._mixed(), 8), grid.points[::4]])
         s = np.random.default_rng(n).standard_normal(n + 1)
         order = np.argsort(xs, kind="stable")
-        cpus(1)
         want = np.empty_like(xs)
         want[order] = bernstein_apply(s, xs[order])
         shuffle = np.random.default_rng(7).permutation(xs.size)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for count in (1, 2, 7):
-                cpus(count)
-                for perm in (order, shuffle):
-                    got = bernstein_apply(s, xs[perm])
-                    assert (got.view(np.uint64) == want[perm].view(np.uint64)).all(), count
-        finally:
-            sys.setswitchinterval(interval)
-        assert starts[0] == 0
+        for perm in (order, shuffle):
+            got = bernstein_apply(s, xs[perm])
+            assert (got.view(np.uint64) == want[perm].view(np.uint64)).all()
 
 
 class TestRowSplit:
-    # _blocks splits each block's elementwise work by rows into one part
-    # per usable CPU.  Every entry sees the same operations however the
-    # rows are cut, so any part count must give the full-width bits.
+    # _blocks cuts each block's rows into tiles, one after another on
+    # the calling thread.  Every entry sees the same operations however
+    # the rows are cut, so any tile size must give the full-width bits.
 
     @staticmethod
     def _abscissae(n):
-        # one whole block, x = 0 in its first part and x = 1 in its last
+        # one whole block, x = 0 in its first tile and x = 1 in its last
         rows = _BLOCK_VALUES // (n + 1)
         return np.concatenate([[0.0], np.linspace(0.3, 0.7, rows - 2), [1.0]])
 
     @pytest.mark.parametrize("n", [1024, 16384, 65536])
-    def test_any_part_count_gives_the_full_width_bits(self, n, cpus, starts):
-        # more parts than cores, switching threads as often as it can
-        xs = self._abscissae(n)
-        want = full_width_block(n, xs, 0, n).view(np.uint64)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for count in (1, 2, 3, 7):
-                cpus(count)
-                before = starts[0]
-                (rows, got), = _blocks(n, xs)
-                assert rows == slice(0, xs.size)
-                assert (got.view(np.uint64) == want).all(), count
-                assert starts[0] - before == count - 1
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("n", [1024, 16384, 65536])
     @pytest.mark.parametrize("tile", [1, 3, 7])
     @pytest.mark.parametrize("window", ["full", "inner", "one"])
-    def test_any_tile_size_gives_the_full_width_bits(self, n, tile, window, cpus, monkeypatch):
+    def test_any_tile_size_gives_the_full_width_bits(self, n, tile, window, monkeypatch):
         # x = 0 and x = 1 stretch the block's window over all of klo..khi,
-        # so _PART_VALUES = tile * width makes tiles of `tile` rows; x = 0
-        # and x = 1 lie in different tiles.  The part cuts fall inside a
-        # 7-row (n = 1024, 16384) or 3-row (n = 65536, 2 parts) tile grid
-        # over the whole block.  "inner" is inverse_moment_sum's window,
-        # "one" basis_value's.
+        # so _TILE_VALUES = tile * width makes tiles of `tile` rows; x = 0
+        # and x = 1 lie in different tiles.  "inner" is
+        # inverse_moment_sum's window, "one" basis_value's.
         klo, khi = {"full": (0, n), "inner": (1, n - 1), "one": (n // 3, n // 3)}[window]
         xs = self._abscissae(n)
         want = full_width_block(n, xs, klo, khi).view(np.uint64)
-        monkeypatch.setattr(basis, "_PART_VALUES", tile * (khi - klo + 1))
-        for count in (1, 2, 7):
-            cpus(count)
-            (rows, got), = _blocks(n, xs, klo, khi)
-            assert rows == slice(0, xs.size)
-            assert (got.view(np.uint64) == want).all(), count
+        monkeypatch.setattr(basis, "_TILE_VALUES", tile * (khi - klo + 1))
+        (rows, got), = _blocks(n, xs, klo, khi)
+        assert rows == slice(0, xs.size)
+        assert (got.view(np.uint64) == want).all()
 
-    @pytest.mark.parametrize("count", [1, 2])
-    def test_apply_peak_memory_is_its_tables_and_a_tile(self, count, cpus, grid):
+    @pytest.mark.parametrize("calls", [1, 2])
+    def test_apply_peak_memory_is_its_tables_and_a_tile(self, calls, grid):
         # the segment sum holds the sample table of one side of 1/2 at a
         # time (about 280 by 32 float64 values here), the longdouble
         # temporaries of _TILE_ANCHORS table values, and one tile; no
-        # block, and nothing per CPU: measured 1.4 MiB on one CPU and on two
+        # block, and nothing kept from one call to the next: measured
+        # 1.4 MiB for one call and for two
         n = 16384
         s = np.cos(0.37 * np.arange(n + 1))
-        _binom_log_row(n)  # the log-factorial table is not the call's working memory
-        cpus(count)
+        basis._extend_ln_fact(n)  # the log-factorial table is not the call's working memory
         tracemalloc.start()
         try:
-            bernstein_apply(s, grid.points)
+            for _ in range(calls):
+                bernstein_apply(s, grid.points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20, peak
 
-    def test_split_block_allocates_on_the_calling_thread(self, cpus, starts, grid,
-                                                         monkeypatch):
-        # an array a worker makes lands in its thread's malloc arena, and
-        # which arena that is moved a cold run's peak RSS by up to 1.8 MiB:
-        # every array of 64 KiB or more, the tile buffers among them, must
-        # be made on the thread that asked for the blocks
-        made = []
-        for name in ("empty", "empty_like", "zeros", "zeros_like"):
-            def record(*args, _make=getattr(np, name), **kw):
-                a = _make(*args, **kw)
-                made.append((threading.get_ident(), a.nbytes))
-                return a
-            monkeypatch.setattr(np, name, record)
-        cpus(2)
-        for _ in _blocks(16384, grid.points):
-            pass
-        assert starts[0] > 0
-        large = [tid for tid, nbytes in made if nbytes >= 64 * 1024]
-        assert len(large) >= 3  # the output block and a buffer pair per part
-        assert set(large) == {threading.get_ident()}
-        # the operator sum starts no thread on any CPU count
-        before = starts[0]
+    def test_no_call_starts_a_thread(self, params, sw, grid, starts):
+        # the lemma sweep's blocks, a row at a large degree and the
+        # operator sum on the refined grid all run on the calling thread
+        lemma_suite(ExperimentConfig(params=params, sw=sw))
+        basis_row(65536, 0.3)
         bernstein_apply(np.cos(0.37 * np.arange(16385)), grid.points)
-        assert starts[0] == before
-
-    def test_small_blocks_start_no_thread(self, cpus, starts):
-        cpus(7)
-        for n in (64, 16384, 65536):
-            _row(n, 0.3)
-            basis_value(n, n // 3, 0.3)
-            central_moment_sum(n, 2.0, 0.3)
-            bernstein_apply(np.ones(n + 1), [0.2, 0.3])
         assert starts[0] == 0
 
-    def test_callers_errstate_does_not_raise(self, cpus, starts):
+    def test_callers_errstate_does_not_raise(self):
         # x = 0 and x = 1 give log(0) and 0 * -inf; the interior rows
-        # underflow in exp near the window edges.  A warning from any part
-        # is an error too: a worker on numpy's default state would warn.
-        cpus(2)
+        # underflow in exp near the window edges
         n, xs = 16384, self._abscissae(16384)
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
             (_, got), = _blocks(n, xs)
-            assert starts[0] == 1
             # and the operator sum, at x = 1e-300 among others, where
-            # powers and anchors underflow; it starts no thread
+            # powers and anchors underflow
             bernstein_apply(np.ones(n + 1), np.append(xs, TestExactZeroWindow.EDGE_X))
-        assert starts[0] == 1
         assert (got == full_width_block(n, xs, 0, n)).all()
 
-    def test_a_failing_part_raises_after_the_join(self):
-        # the failing part stops at once; the others still run to the end
-        # before the error reaches the caller
-        caller = threading.get_ident()
-        for failing in ("caller", "worker"):
-            done = []
-
-            def part():
-                on_caller = threading.get_ident() == caller
-                if on_caller == (failing == "caller"):
-                    raise ZeroDivisionError(failing)
-                time.sleep(0.05)
-                done.append(on_caller)
-
-            with pytest.raises(ZeroDivisionError):
-                _in_parts(part, 3)
-            assert done == ([False, False] if failing == "caller" else [True]), failing
-
     @pytest.mark.parametrize("n", [1024, 16384, 65536])
-    def test_mixed_tiles_give_the_full_width_bits(self, n, cpus, monkeypatch):
+    def test_mixed_tiles_give_the_full_width_bits(self, n, monkeypatch):
         # one whole block of endpoint-cluster and mid-grid rows in no
         # order: a tile's window spans the Chernoff edges of its smallest
         # and largest x, which are rarely its first and last rows.  x = 0
         # and x = 1 stretch the block's window over 0..n, so
-        # _PART_VALUES = tile * (n + 1) makes tiles of `tile` rows.
+        # _TILE_VALUES = tile * (n + 1) makes tiles of `tile` rows.
         xs = np.resize(TestExactZeroWindow._mixed(), _BLOCK_VALUES // (n + 1))
         want = full_width_block(n, xs, 0, n).view(np.uint64)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for tile in (1, 3, 7):
-                monkeypatch.setattr(basis, "_PART_VALUES", tile * (n + 1))
-                for count in (1, 2, 7):
-                    cpus(count)
-                    (rows, got), = _blocks(n, xs)
-                    assert rows == slice(0, xs.size)
-                    assert (got.view(np.uint64) == want).all(), (tile, count)
-        finally:
-            sys.setswitchinterval(interval)
+        for tile in (1, 3, 7):
+            monkeypatch.setattr(basis, "_TILE_VALUES", tile * (n + 1))
+            (rows, got), = _blocks(n, xs)
+            assert rows == slice(0, xs.size)
+            assert (got.view(np.uint64) == want).all(), tile
 
     def test_apply_exponentiates_one_anchor_per_abscissa(self, grid, monkeypatch):
         # values handed to exp on the refined grid at n = 16384: one
@@ -636,30 +526,6 @@ class TestRowSplit:
         bernstein_apply(np.cos(0.37 * np.arange(16385)), grid.points)
         inner = np.unique(grid.points[(grid.points > 0.0) & (grid.points < 1.0)])
         assert sum(sizes) <= inner.size, (sum(sizes), inner.size)
-
-    def test_fork_after_a_split_block(self, cpus, starts):
-        # a forked child must not wait on workers its parent started;
-        # the split starts and joins plain threads per call, so none is left
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method")
-        cpus(2)
-        n, xs = 16384, self._abscissae(16384)
-        (_, want), = _blocks(n, xs)
-        assert starts[0] > 0
-        ctx = multiprocessing.get_context("fork")
-        receive, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=lambda: send.send(
-            bool((next(_blocks(n, xs))[1].view(np.uint64) == want.view(np.uint64)).all())))
-        child.start()
-        try:
-            assert receive.poll(60), "the forked child did not answer within 60 s"
-            same = receive.recv()
-        finally:
-            child.join(5)
-            if child.is_alive():
-                child.kill()
-        assert child.exitcode == 0
-        assert same
 
 
 class TestCentralMomentSum:
