@@ -16,13 +16,13 @@ from the Hoeffding radius sqrt(375 n).  Tiles run one after another on
 the calling thread, and an entry goes through the same operations in
 any tile, so no bit depends on how the rows are cut.
 
-The operator sum (bernstein_apply) exponentiates one value per
-abscissa.  Each interior x sums the whole segments of _SEGMENT columns
-that cover |k - n x| <= t(x), outside which a row holds at most
-2 e^-40 ~ 8.5e-18 of its mass.  x > 1/2 is taken as 1 - x with the
+The operator sum (bernstein_apply) reads no ln k! table and exponentiates
+one value per abscissa.  Each interior x sums the whole segments of
+_SEGMENT columns that cover |k - n x| <= t(x), outside which a row holds
+at most 2 e^-40 ~ 8.5e-18 of its mass; x > 1/2 is taken as 1 - x with the
 samples reversed, so r = x/(1-x) <= 1.  A term is an anchor p_{n,a}(x)
-times r^l times a binomial ratio C(n, a + l) / C(n, a), so a tile of
-rows is one gemm and one dot product per row, on the calling thread.
+times r^l times C(n, a + l) / C(n, a), and a row's first anchor takes
+ln C(n, a) from the segment steps: a tile is one gemm and row dots.
 """
 from __future__ import annotations
 
@@ -34,10 +34,20 @@ __all__ = ["basis_row", "bernstein_apply"]
 
 _LD = np.longdouble
 
-# ln(i!) for i = 0..len-1, accumulated with Neumaier compensation so the
-# per-entry absolute error stays at the longdouble rounding level instead
-# of growing with the table length.  The table grows in fixed segments,
-# up to 64 and then by doubling, with the compensation restarted at each
+
+def _neumaier(terms: np.ndarray, s, c) -> tuple[np.ndarray, np.ndarray]:
+    """Neumaier's running sums s + terms[0] + ... and compensations from c,
+    the start pair first: the scalar loop's bits (cumsum adds in order)."""
+    run = np.cumsum(np.concatenate(([s], terms)))
+    prev, tot = run[:-1], run[1:]
+    err = np.where(abs(prev) >= abs(terms), (prev - tot) + terms, (terms - tot) + prev)
+    return run, np.cumsum(np.concatenate(([c], err)))
+
+
+# ln(i!) for i = 0..len-1, Neumaier-compensated so the per-entry absolute
+# error stays at the longdouble rounding level instead of growing with
+# the table length.  It grows in fixed segments (to 64, then by doubling,
+# _TILE_VALUES terms at a time), the compensation restarted at each
 # segment start, so no entry depends on the degrees asked for before.
 _ln_fact = np.zeros(2, dtype=_LD)
 
@@ -46,21 +56,13 @@ def _extend_ln_fact(n: int) -> None:
     global _ln_fact
     while _ln_fact.size <= n:
         top = _ln_fact.size - 1
-        size = max(64, 2 * top)
-        logs = np.log(np.arange(top + 1, size + 1, dtype=_LD))
-        out = np.empty(size + 1, dtype=_LD)
+        out = np.empty(max(64, 2 * top) + 1, dtype=_LD)
         out[: top + 1] = _ln_fact
-        s = out[top]
-        c = _LD(0.0)
-        for i in range(logs.size):
-            t = logs[i]
-            tot = s + t
-            if abs(s) >= abs(t):
-                c += (s - tot) + t
-            else:
-                c += (t - tot) + s
-            s = tot
-            out[top + 1 + i] = s + c
+        s, c = out[top], _LD(0.0)
+        for a in range(top + 1, out.size, _TILE_VALUES):
+            b = min(a + _TILE_VALUES, out.size)
+            run, comp = _neumaier(np.log(np.arange(a, b, dtype=_LD)), s, c)
+            out[a - 1 : b], s, c = run + comp, run[-1], comp[-1]
         _ln_fact = out
 
 
@@ -138,6 +140,12 @@ def _check_x(x) -> np.ndarray:
     if bad.size:
         raise ValueError(f"abscissa must lie in [0,1], got {bad.flat[0]!r}")
     return xs
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """np.unique(a), sorted and distinct, without its import of numpy.ma."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
 def _edges(n: int, xs: np.ndarray, klo: int, khi: int) -> tuple[int, int]:
@@ -233,22 +241,22 @@ def _bands(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _segments(n: int, s: np.ndarray, qa: int, qb: int) -> tuple[np.ndarray, np.ndarray]:
-    """For the anchors a = _SEGMENT q, q = qa..qb, the table
-    h[q - qa, l] = s[a + l] C(n, a + l) / C(n, a) (0 past n) and the steps
-    C(n, a + _SEGMENT) / C(n, a) in longdouble.  Each segment is a
-    longdouble cumprod of (n - k)/(k + 1) from its own anchor, so no value
-    depends on qa or qb; _TILE_ANCHORS values at a time bound the
-    longdouble temporaries."""
+    """For the anchors a = _SEGMENT q, the table
+    h[q - qa, l] = s[a + l] C(n, a + l) / C(n, a) (0 past n), q = qa..qb,
+    and the steps C(n, a + _SEGMENT) / C(n, a), q = 0..qb, in longdouble.
+    Each segment is a longdouble cumprod of (n - k)/(k + 1) from its own
+    anchor, so no value depends on qa or qb; _TILE_ANCHORS values at a
+    time bound the longdouble temporaries."""
     a, size = _SEGMENT * qa, _SEGMENT * (qb - qa + 1)
-    h, steps = np.zeros((qb - qa + 1, _SEGMENT)), np.empty(qb - qa + 1, _LD)
+    h, steps = np.zeros((qb - qa + 1, _SEGMENT)), np.empty(qb + 1, _LD)
     samples = s[a : a + size]
     h.flat[: samples.size] = samples
-    for c in range(0, size, _TILE_ANCHORS):
-        k = np.arange(a + c, a + min(c + _TILE_ANCHORS, size), dtype=_LD).reshape(-1, _SEGMENT)
+    for c in range(0, a + size, _TILE_ANCHORS):
+        k = np.arange(c, min(c + _TILE_ANCHORS, a + size), dtype=_LD).reshape(-1, _SEGMENT)
         g = np.cumprod(np.maximum(n - k, 0) / (k + 1), axis=1)
-        q = slice(c // _SEGMENT, c // _SEGMENT + g.shape[0])
+        q = np.arange(c // _SEGMENT, c // _SEGMENT + g.shape[0])
         steps[q] = g[:, -1]
-        h[q, 1:] *= g[:, :-1].astype(float)
+        h[q[q >= qa] - qa, 1:] *= g[q >= qa, :-1].astype(float)
     return h, steps
 
 
@@ -259,8 +267,9 @@ def _segment_sum(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     A term is p_{n,a}(x) r^l h[q, l] with a = _SEGMENT q: per tile of
     rows, one gemm of the powers r^l against the table (_segments) and
     one dot product of each row with its anchors p_{n,a}(x).  The first
-    anchor is the longdouble exp of its log-space exponent, every later
-    one the last times its step times r^_SEGMENT."""
+    anchor is the longdouble exp of its log-space exponent, with ln C(n, a)
+    the compensated sum of the logs of the (positive) steps before a, and
+    every later one the last times its step times r^_SEGMENT."""
     n = s.size - 1
     lo, hi = _bands(n, x)
     q0, q1 = lo // _SEGMENT, hi // _SEGMENT
@@ -268,7 +277,9 @@ def _segment_sum(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     h, steps = _segments(n, s, qa, int(q1.max()))
     xl = x.astype(_LD)
     r = xl / (1.0 - xl)
-    lnx, ln1x = np.log(xl), np.log1p(-xl)
+    run, comp = _neumaier(np.log(steps[: q0.max()]), _LD(0.0), _LD(0.0))
+    a0 = _SEGMENT * q0
+    first = np.exp((run + comp)[q0] + a0 * np.log(xl) + (n - a0) * np.log1p(-xl))
     res = np.empty(x.size)
     b = 0
     while b < x.size:
@@ -288,14 +299,12 @@ def _segment_sum(s: np.ndarray, x: np.ndarray) -> np.ndarray:
         y = rl @ h[ta - qa : tb - qa + 1].T
         # the anchor chain: 1.0 before a row's first segment, so no row
         # depends on its tile-mates
-        a0 = _SEGMENT * q0[b:e]
-        first = np.exp(_log_binom(n, a0) + a0 * lnx[b:e] + (n - a0) * ln1x[b:e])
         col = np.arange(ta, tb + 1)
         before = col < q0[b:e, None]
         chain = np.empty((m, tb - ta + 1), _LD)
-        np.multiply(steps[ta - qa : tb - qa], power[:, _SEGMENT, None], out=chain[:, 1:])
+        np.multiply(steps[ta:tb], power[:, _SEGMENT, None], out=chain[:, 1:])
         np.copyto(chain, 1.0, where=before)
-        chain[np.arange(m), q0[b:e] - ta] = first
+        chain[np.arange(m), q0[b:e] - ta] = first[b:e]
         np.cumprod(chain, axis=1, out=chain)
         anchors = chain.astype(float)
         np.copyto(anchors, 0.0, where=before | (col > q1[b:e, None]))

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ..basis import _blocks, _inverse_weights
+from ..basis import _blocks, _distinct, _inverse_weights
 from ..blending import TestFunction, _evaluate, bridge_p, fbar_d2, knots
 from ..exceptions import Degenerate, MissingExponent
 from ..moduli import T_MAX, ModulusConfig, quadrature_bound_ratio, modulus_curve
@@ -113,7 +113,7 @@ def _tabulated_modulus(f, params, sw, grid, scales):
     lo = max(min(float(s.min()) for s in scales) * 0.999, 1e-8)
     lo = min(lo, T_MAX)
     # every scale clipped to T_MAX leaves a one-point table
-    tt = np.unique(np.geomspace(lo, T_MAX, _TABLE_T_POINTS))
+    tt = _distinct(np.geomspace(lo, T_MAX, _TABLE_T_POINTS))
     cfg = ModulusConfig(x_grid=grid, t_values=tuple(tt), h_steps=_TABLE_H_STEPS)
     curve = modulus_curve(f, params, sw, cfg)
     lt = np.log(tt)

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .basis import _check_x
+from .basis import _check_x, _distinct
 from .blending import TestFunction, _evaluate
 
 __all__ = [
@@ -117,7 +117,7 @@ def refined_grid(
         d_xi = np.geomspace(1e-10, 0.45 * min(params.xi, 1.0 - params.xi), m)
         d_end = np.geomspace(1e-10, 0.1, m)
         parts += [params.xi - d_xi, params.xi + d_xi, d_end, 1.0 - d_end]
-    pts = np.unique(np.concatenate(parts))
+    pts = _distinct(np.concatenate(parts))
     pts = pts[(pts >= 0.0) & (pts <= 1.0)]
     pts = pts[np.abs(pts - params.xi) > _EXCLUSION_RADIUS]
     pts.flags.writeable = False

@@ -45,6 +45,34 @@ def mp_row(n, x, dps=40):
     return row
 
 
+def ln_fact_loop(n):
+    """ln k! for k = 0..m, m >= n, as the library's table lays it out:
+    fixed segments, to 64 and then by doubling, each summing the logs of
+    its indices onto the last entry before it with Neumaier compensation
+    restarted at the segment start.  The sum runs one longdouble scalar
+    at a time: the reference for the table's array passes."""
+    ld = np.longdouble
+    table = np.zeros(2, dtype=ld)
+    while table.size <= n:
+        top = table.size - 1
+        size = max(64, 2 * top)
+        logs = np.log(np.arange(top + 1, size + 1, dtype=ld))
+        out = np.empty(size + 1, dtype=ld)
+        out[: top + 1] = table
+        s, c = out[top], ld(0.0)
+        for i in range(logs.size):
+            t = logs[i]
+            tot = s + t
+            if abs(s) >= abs(t):
+                c += (s - tot) + t
+            else:
+                c += (t - tot) + s
+            s = tot
+            out[top + 1 + i] = s + c
+        table = out
+    return table
+
+
 def full_width_block(n, x, klo, khi):
     """p_{n,k}(x) for k = klo..khi (columns) at every x (rows), with the
     exponent ln C(n,k) + k ln x + (n-k) ln(1-x) assembled in longdouble

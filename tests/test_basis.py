@@ -33,6 +33,7 @@ from oracles import (
     full_width_block,
     inverse_moment_sum,
     lemma6_sum,
+    ln_fact_loop,
     mp_row,
     naive_basis,
     naive_row,
@@ -148,17 +149,26 @@ class TestBasisRow:
 
 
 class TestLogFactorialTable:
+    @staticmethod
+    def _build(monkeypatch, sizes):
+        monkeypatch.setattr(basis, "_ln_fact", np.zeros(2, dtype=np.longdouble))
+        for n in sizes:
+            basis._extend_ln_fact(n)
+        return basis._ln_fact
+
     def test_history_free(self, monkeypatch):
         # the compensation restarts at fixed segment starts, so a table
         # grown through other sizes has the bits of one built at once
-        def build(sizes):
-            monkeypatch.setattr(basis, "_ln_fact", np.zeros(2, dtype=np.longdouble))
-            for n in sizes:
-                basis._extend_ln_fact(n)
-            return basis._ln_fact
+        grown = self._build(monkeypatch, (64, 100, 1000, 3000, 16384))
+        assert np.array_equal(grown[:16385], self._build(monkeypatch, (16384,))[:16385])
 
-        grown = build((64, 100, 1000, 3000, 16384))
-        assert np.array_equal(grown[:16385], build((16384,))[:16385])
+    @pytest.mark.parametrize("sizes", [(65536,), (64, 100, 1000, 3000, 16384, 65536)])
+    def test_array_passes_give_the_scalar_loop_bits(self, sizes, monkeypatch):
+        # cumsum adds left to right, so the compensated prefix sums carry
+        # the loop's bits, also across the chunks a segment is cut into
+        got = self._build(monkeypatch, sizes)[: 2**16 + 1]
+        want = ln_fact_loop(2**16)[: 2**16 + 1]
+        assert np.array_equal(got, want)
 
 
 class TestBernsteinApply:
@@ -238,29 +248,46 @@ class TestArbitraryPrecisionOracle:
     # powers r^l from l = 31 on are set to 0.0
     @pytest.mark.parametrize(("x", "n"), [(x, n) for x in (0.013, 0.37, 0.5)
                                           for n in (4096, 16384)]
-                             + [(0.37, 65536), (0.987, 16384), (1e-10, 16384)])
+                             + [(0.013, 65536), (0.37, 65536), (0.987, 16384),
+                                (1e-10, 16384)])
     def test_row_sum_and_apply(self, n, x):
-        # at n = 65536 only the operator sum with samples cos(0.37 k) is
-        # claimed: the log-binomial ln n! - ln k! - ln (n-k)! cancels
-        # terms of size 7e5 there, and the row reads 1.02e-13 per entry
-        # and 2.4e-14 in sum.  Those samples cancel to about 1e-16 and
-        # hide an error common to a row, which the operator sum carries
-        # from its first anchor's log-binomial; samples sqrt|k/n - 1/2|
-        # do not cancel (largest measured error 2.0e-15)
+        # at n = 65536 only the operator sum is claimed: the row's
+        # log-binomial ln n! - ln k! - ln (n-k)! cancels terms of size 7e5
+        # there, and the row reads 1.02e-13 per entry and 2.4e-14 in sum.
+        # The operator sum reads no ln k! table: a row's first anchor
+        # takes ln C(n, a) from compensated sums of the segment steps, so
+        # no error of that size is common to the row.  Samples cos(0.37 k)
+        # cancel to about 1e-16 and would hide such an error; samples
+        # sqrt|k/n - 1/2| do not (largest measured error 8.8e-16, and
+        # 3.9e-14 at x = 0.013, n = 65536 with anchors from the table)
         exact = mp_row(n, x)
         k = np.arange(n + 1)
         with mpmath.workdps(40):
+            # the entries below 1e-40 add less than 1e-35 to these sums
+            live = [(p, i) for i, p in enumerate(exact) if p > 1e-40]
             for samples, bound in ((np.cos(0.37 * k), 1e-15),
                                    (np.sqrt(np.abs(k / n - 0.5)), 4e-15)):
-                applied = mpmath.fsum(p * float(s) for p, s in zip(exact, samples))
+                applied = mpmath.fsum(p * float(samples[i]) for p, i in live)
                 assert abs(bernstein_apply(samples, x) - applied) <= bound
-                if n > 16384:
-                    return
+            if n > 16384:
+                return
             row = basis_row(n, x)
             rel = max(abs(mpmath.mpf(float(w)) - p) / p
                       for w, p in zip(row, exact) if p > 1e-300)
         assert rel <= 1e-13
         assert abs(math.fsum(row) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize(("n", "bound"), [(16384, 2.5e-15), (65536, 1e-14)])
+    def test_apply_ones_on_the_refined_grid(self, n, bound, grid, monkeypatch):
+        # the partition of unity through the operator sum, at every
+        # abscissa of the refined grid.  Measured 1.11e-15 and 4.22e-15;
+        # anchors from ln n! - ln a! - ln (n-a)!, whose table entries are
+        # rounded at the size of ln n!, read 1.12e-14 and 8.15e-14.  The
+        # sum reads no ln k! table, so a small one stays as it is.
+        monkeypatch.setattr(basis, "_ln_fact", np.zeros(2, dtype=np.longdouble))
+        got = bernstein_apply(np.ones(n + 1), grid.points)
+        assert np.abs(got - 1.0).max() <= bound
+        assert basis._ln_fact.size == 2
 
     # The moment sums against the 40-digit row, rounded once to float64
     # and summed with fsum against the same float64 weights, so the
@@ -462,11 +489,10 @@ class TestRowSplit:
         # the segment sum holds the sample table of one side of 1/2 at a
         # time (about 280 by 32 float64 values here), the longdouble
         # temporaries of _TILE_ANCHORS table values, and one tile; no
-        # block, and nothing kept from one call to the next: measured
-        # 1.4 MiB for one call and for two
+        # block, no log-factorial table, and nothing kept from one call
+        # to the next: measured 1.4 MiB for one call and for two
         n = 16384
         s = np.cos(0.37 * np.arange(n + 1))
-        basis._extend_ln_fact(n)  # the log-factorial table is not the call's working memory
         tracemalloc.start()
         try:
             for _ in range(calls):

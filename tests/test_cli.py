@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -232,10 +235,9 @@ class TestDeterminism:
         # mass, and its products of ratios round otherwise than the
         # full-width blocks that wrote the reference: the numbers agree to
         # 1e-12 relative (largest change measured over the nine reference
-        # xi: 5.9e-15), not to the bit.
+        # xi: 4.1e-15), not to the bit.
         # It runs in this process after whatever degrees earlier tests
-        # asked for: the log-factorial table grows in fixed segments, so
-        # its bits do not depend on them.
+        # asked for: the operator sum reads no log-factorial table.
         out = tmp_path / "rates.csv"
         assert run_cli(["rates", "--xi", "0.50", "--alpha", "1", "--function", "inner-root",
                         "--n", "64:16384", "--out", str(out)]) == 0
@@ -348,3 +350,23 @@ class TestDumpOperator:
         k, t, s = lines[17].split(",")
         assert int(k) == 16
         assert float(s) == op.fbar_samples[16]
+
+
+class TestImports:
+    def test_no_command_imports_numpy_ma(self):
+        # np.unique imports numpy.ma (about 15 ms of every cold run);
+        # the grid and the modulus table dedupe with a sort and a mask
+        code = (
+            "import os, sys\n"
+            "from bernsing.harness.cli import run_cli\n"
+            "base = ['--xi', '0.5', '--alpha', '1', '--n', '64:256', '--grid', '257',\n"
+            "        '--out', os.devnull]\n"
+            "codes = [run_cli([c, *base]) for c in\n"
+            "         ('lemmas', 'rates', 'direct', 'inverse', 'dump-operator')]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "False"]
