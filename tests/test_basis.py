@@ -162,10 +162,13 @@ class TestLogFactorialTable:
         grown = self._build(monkeypatch, (64, 100, 1000, 3000, 16384))
         assert np.array_equal(grown[:16385], self._build(monkeypatch, (16384,))[:16385])
 
+    @pytest.mark.parametrize("chunk", [1 << 15, 1000])
     @pytest.mark.parametrize("sizes", [(65536,), (64, 100, 1000, 3000, 16384, 65536)])
-    def test_array_passes_give_the_scalar_loop_bits(self, sizes, monkeypatch):
+    def test_array_passes_give_the_scalar_loop_bits(self, sizes, chunk, monkeypatch):
         # cumsum adds left to right, so the compensated prefix sums carry
         # the loop's bits, also across the chunks a segment is cut into
+        # (below 2^16 only the 1000-term chunks cut one)
+        monkeypatch.setattr(basis, "_LN_FACT_CHUNK", chunk)
         got = self._build(monkeypatch, sizes)[: 2**16 + 1]
         want = ln_fact_loop(2**16)[: 2**16 + 1]
         assert np.array_equal(got, want)
