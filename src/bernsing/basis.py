@@ -7,26 +7,26 @@ exponent is assembled in extended precision, and only the final
 Direct binomial products would overflow near n = 1030; the exponent
 cancellation (log-binomial against k*ln x + (n-k)*ln(1-x), both of size
 ~n) would cost ~1e-12 of absolute accuracy if assembled in float64,
-which is why the table and assembly use ``np.longdouble``.  A block
-leaves out only entries that float64 ``exp`` returns as exactly 0.0: it
-is assembled a tile of rows at a time, each only between the two
-Chernoff edges of its smallest and largest x, past which p_{n,k}(x) <=
-exp(-n KL(k/n || x)) <= exp(-750); each edge takes four Newton steps
-from the Hoeffding radius sqrt(375 n).  Tiles run one after another on
-the calling thread, and an entry goes through the same operations in
-any tile, so no bit depends on how the rows are cut.
+which is why the table and assembly use ``np.longdouble``.  Every
+kernel reads one window rule, the Bernstein band of x at an exponent R
+(_bands), outside which a row holds at most 2 e^-R of its mass.  A block
+entry is the full-width value inside its row's band and 0.0 outside it:
+rows take R = 750, where float64 ``exp`` returns exactly 0.0 for every
+entry left out, and the lemma sweep R = 100 (see checks._SWEEP_EXPONENT).
+A block is assembled a tile of rows at a time, between the lowest band
+start and the highest band end of its rows, on the calling thread; an
+entry goes through the same operations in any tile, so no bit depends on
+how the rows are cut.
 
 The operator sum (bernstein_apply) reads no ln k! table and exponentiates
 one value per abscissa.  Each interior x sums the whole segments of
-_SEGMENT columns that cover |k - n x| <= t(x), outside which a row holds
+_SEGMENT columns that cover its band at R = 40, outside which a row holds
 at most 2 e^-40 ~ 8.5e-18 of its mass; x > 1/2 is taken as 1 - x with the
 samples reversed, so r = x/(1-x) <= 1.  A term is an anchor p_{n,a}(x)
 times r^l times C(n, a + l) / C(n, a), and a row's first anchor takes
 ln C(n, a) from the segment steps: a tile is one gemm and row dots.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -76,23 +76,19 @@ def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
 # Values per lemma-sweep block: it pins the size of those blocks and the
 # block shape that lemma 2's gemv `block @ samples` sees, on which the
 # last bits of its values depend; the rows per block follow the full
-# index width though only a window is assembled.
+# index width though only the bands are assembled.
 _BLOCK_VALUES = 1_000_000
 _TILE_VALUES = 1 << 15  # about the values per tile of a block's assembly
 
-# Entries are set to 0.0 unevaluated past the Chernoff edge (_zero_reach)
-# where p_{n,k}(x) <= exp(-n KL(k/n || x)) <= exp(-_ZERO_EXPONENT), below
-# float64 exp's zero threshold of about -745.13 (the longdouble exponent
-# is off by ~1e-13 at most).  _ZERO_RADIUS sqrt(n), the Hoeffding radius
-# where KL >= 2 ((k - n x)/n)^2 already gives the bound, is the Newton start.
-_ZERO_EXPONENT = 750.0
-_ZERO_RADIUS = math.sqrt(_ZERO_EXPONENT / 2.0)
-_NEWTON_STEPS = 4
-
-# bernstein_apply's band [floor(n x - t), ceil(n x + t)]: t solves
-# t^2 / (2 (sigma^2 + t/3)) = _BAND_EXPONENT, sigma^2 = n x (1 - x), so by
-# Bernstein's inequality the row mass at |k - n x| > t is <= 2 exp(-40).
+# The band of x at exponent R is [floor(n x - t), ceil(n x + t)] within
+# 0..n, where t solves t^2 / (2 (sigma^2 + t/3)) = R, sigma^2 = n x (1 - x):
+# by Bernstein's inequality the row mass at |k - n x| > t is <= 2 exp(-R).
+# bernstein_apply sums the band at _BAND_EXPONENT.  Rows use
+# _ROW_EXPONENT: an entry left out is <= 2 exp(-750), below float64 exp's
+# zero threshold of about -745.13 (the longdouble exponent is off by
+# ~1e-13 at most), so a row keeps every bit of a full-width one.
 _BAND_EXPONENT = 40.0
+_ROW_EXPONENT = 750.0
 
 # The operator sum's segments: the columns a .. a + _SEGMENT - 1 from each
 # anchor a = _SEGMENT q.  A tile's rows times the segments they cover, or
@@ -103,27 +99,6 @@ _BAND_EXPONENT = 40.0
 _SEGMENT = 32
 _TILE_ANCHORS = 1 << 13
 _POWER_FLOOR = 1e-300
-
-
-def _zero_reach(n: int, a: float, b: float) -> float:
-    """A distance r <= _ZERO_RADIUS sqrt(n) such that p_{n,k}(x) <=
-    exp(-_ZERO_EXPONENT) wherever k lies more than r from n x on one
-    side: above it with a = x, below it with a = 1 - x; b = 1 - a.
-
-    g(d) = n KL(a + d || a) - _ZERO_EXPONENT is convex and increasing in
-    d on (0, b), and g >= 0 at the Hoeffding start, so every Newton step
-    stays at or beyond the root: each iterate is a valid edge.  Where the
-    start already lies past the end index (reach >= n b), or a = 0, the
-    Hoeffding radius is returned."""
-    reach = _ZERO_RADIUS * math.sqrt(n)
-    if a <= 0.0 or reach >= n * b:
-        return reach
-    d = reach / n
-    for _ in range(_NEWTON_STEPS):
-        up, down = math.log1p(d / a), math.log1p(-d / b)
-        g = n * ((a + d) * up + (b - d) * down) - _ZERO_EXPONENT
-        d -= g / (n * (up - down))
-    return min(reach, n * d)
 
 
 def _check_degree(n: int, least: int = 0) -> int:
@@ -148,18 +123,19 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
-def _edges(n: int, xs: np.ndarray, klo: int, khi: int) -> tuple[int, int]:
-    """The indices lo..end-1 of klo..khi between the lower Chernoff edge
-    of min(xs) and the upper edge of max(xs) (see _zero_reach; both edges
-    increase with x); end = lo where none is left."""
-    xmin, xmax = float(xs.min()), float(xs.max())
-    lo = max(klo, math.floor(n * xmin - _zero_reach(n, 1.0 - xmin, xmin)))
-    hi = min(khi, math.ceil(n * xmax + _zero_reach(n, xmax, 1.0 - xmax)))
-    return lo, max(lo, hi + 1)
+def _bands(n: int, x: np.ndarray, exponent: float) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last index of each abscissa's band at the exponent,
+    within 0..n."""
+    r = exponent
+    t = r / 3.0 + np.sqrt(r * r / 9.0 + 2.0 * r * n * x * (1.0 - x))
+    lo, hi = np.maximum(np.floor(n * x - t), 0), np.minimum(np.ceil(n * x + t), n)
+    return lo.astype(int), hi.astype(int)
 
 
-def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
-    """Yield (rows, block) with block[i, j] = p_{n, klo+j}(x[rows][i]).
+def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None,
+            exponent: float = _ROW_EXPONENT):
+    """Yield (rows, block) with block[i, j] = p_{n, klo+j}(x[rows][i])
+    inside the row's band at the exponent (_bands) and 0.0 outside it.
 
     x is a 1-d float64 array in [0,1].  Rows come _BLOCK_VALUES values
     at a time, and every block is written into one output array, so a
@@ -167,49 +143,67 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None):
     rows at x = 0 and x = 1 are unit vectors (zero outside the index
     window).
 
-    A block is assembled a tile of rows at a time, each only between the
-    Chernoff edges of its own smallest and largest x (_edges); the rest
-    of its rows is set to 0.0, which is what exp returns there anyway.
-    The block's edges size the tiles.  Every value has the bits of a
-    full-width block.
+    A block is assembled a tile of rows at a time, each between the lowest
+    band start and the highest band end of its rows; the union of all the
+    bands sizes the tiles.  Every entry is computed as in a full-width
+    block, and after exp every entry outside its own row's band is set to
+    0.0, so no bit depends on how the rows are tiled.  At _ROW_EXPONENT
+    that is the full-width block itself.
     """
     khi = n if khi is None else khi
     k = np.arange(klo, khi + 1, dtype=_LD)
     nk = n - k
     lrow = _log_binom(n, np.arange(klo, khi + 1))
+    # each row's band as the columns j0 .. j1 - 1 of the window, also as
+    # lists: Python's min and max of a tile's few bounds cost less than
+    # numpy reductions
+    j0, j1 = _bands(n, x, exponent)
+    j1 += 1
+    if klo > 0 or khi < n:
+        j0, j1 = (np.minimum(np.maximum(j, klo), khi + 1) - klo for j in (j0, j1))
+    l0, l1 = j0.tolist(), j1.tolist()
+    # the union of all bands sizes the tiles, and one pair of longdouble
+    # buffers holds a tile
+    width = max(max(l1) - min(l0), 1)
+    tile = max(1, _TILE_VALUES // width)
+    buf = np.empty((2, min(tile, x.size) * width), _LD)
     step = max(1, _BLOCK_VALUES // k.size)
     out = np.empty((min(step, x.size), k.size))
     for a in range(0, x.size, step):
         rows = slice(a, min(a + step, x.size))
-        xb = x[rows]
+        xb, b0, b1 = x[rows], j0[rows], j1[rows]
         o = out[: xb.size]
-        lo, end = _edges(n, xb, klo, khi)
-        tile = max(1, _TILE_VALUES // max(end - lo, 1))
         xl = xb.astype(_LD)
-        buf = np.empty((2, min(tile, xb.size) * (end - lo)), _LD)
         # log 0 and 0 * -inf at x = 0 and 1 (fixed below), and exp
-        # underflow to 0.0 near the edges, as it may
+        # underflow to 0.0 near the band edges, as it may
         with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
             for b in range(0, xb.size, tile):
                 s = slice(b, min(b + tile, xb.size))
-                j0, j1 = (j - klo for j in _edges(n, xb[s], lo, end - 1))
-                o[s, :j0] = o[s, j1:] = 0.0
+                t0, t1 = l0[a + s.start : a + s.stop], l1[a + s.start : a + s.stop]
+                c0, e0, e1, c1 = min(t0), max(t0), min(t1), max(t1)
+                o[s, :c0] = o[s, c1:] = 0.0
                 # the exponent in four longdouble passes, in contiguous
                 # buffers (strided views cost numpy a cast buffer), then
                 # the cast and exp
-                v = o[s, j0:j1]
+                v = o[s, c0:c1]
                 er, tr = buf[:, : v.size].reshape(2, *v.shape)
-                np.multiply(np.log(xl[s])[:, None], k[j0:j1], out=er)
-                np.add(lrow[j0:j1], er, out=er)
-                np.multiply(np.log1p(-xl[s])[:, None], nk[j0:j1], out=tr)
+                np.multiply(np.log(xl[s])[:, None], k[c0:c1], out=er)
+                np.add(lrow[c0:c1], er, out=er)
+                np.multiply(np.log1p(-xl[s])[:, None], nk[c0:c1], out=tr)
                 np.add(er, tr, out=er)
                 v[...] = er
                 np.exp(v, out=v)
+                # then 0.0 outside each row's own band: only the columns
+                # before the last band start and from the first band end on
+                if e0 > c0:
+                    np.copyto(v[:, : e0 - c0], 0.0, where=np.arange(c0, e0) < b0[s, None])
+                if e1 < c1:
+                    np.copyto(v[:, e1 - c0 :], 0.0, where=np.arange(e1, c1) >= b1[s, None])
         # the log-space form leaves 0 * -inf = NaN where 0**0 = 1 is
         # meant; every other entry of an endpoint row is exp(-inf) = 0
-        if lo == 0:
+        if klo == 0:
             o[xb == 0.0, 0] = 1.0
-        if end == n + 1:
+        if khi == n:
             o[xb == 1.0, -1] = 1.0
         yield rows, o
 
@@ -230,14 +224,6 @@ def basis_row(n: int, x: float) -> np.ndarray:
     w = _row(_check_degree(n, 1), x)
     w.flags.writeable = False
     return w
-
-
-def _bands(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first and last index of each abscissa's band, within 0..n."""
-    r = _BAND_EXPONENT
-    t = r / 3.0 + np.sqrt(r * r / 9.0 + 2.0 * r * n * x * (1.0 - x))
-    lo, hi = np.maximum(np.floor(n * x - t), 0), np.minimum(np.ceil(n * x + t), n)
-    return lo.astype(int), hi.astype(int)
 
 
 def _segments(n: int, s: np.ndarray, qa: int, qb: int) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +257,7 @@ def _segment_sum(s: np.ndarray, x: np.ndarray) -> np.ndarray:
     the compensated sum of the logs of the (positive) steps before a, and
     every later one the last times its step times r^_SEGMENT."""
     n = s.size - 1
-    lo, hi = _bands(n, x)
+    lo, hi = _bands(n, x, _BAND_EXPONENT)
     q0, q1 = lo // _SEGMENT, hi // _SEGMENT
     qa = int(q0.min())
     h, steps = _segments(n, s, qa, int(q1.max()))

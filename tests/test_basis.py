@@ -16,14 +16,15 @@ import pytest
 from bernsing import basis
 from bernsing.basis import (
     _BLOCK_VALUES,
+    _ROW_EXPONENT,
+    _bands,
     _blocks,
     _row,
-    _zero_reach,
     basis_row,
     bernstein_apply,
 )
 from bernsing.harness import ExperimentConfig, lemma_suite
-from bernsing.harness.checks import _window, sequence_verdict
+from bernsing.harness.checks import _SWEEP_EXPONENT, _window, sequence_verdict
 from bernsing.weights import WeightParams, wbar
 
 from oracles import (
@@ -329,9 +330,10 @@ class TestArbitraryPrecisionOracle:
 
 
 class TestExactZeroWindow:
-    # The kernel assembles each tile of rows only between the Chernoff
-    # edges of its smallest and largest x, within sqrt(375 n) of n x, and
-    # sets the rest to 0.0; the full-width oracle evaluates every column.
+    # The kernel assembles each tile of rows only between the lowest band
+    # start and the highest band end of its rows (basis._bands at
+    # _ROW_EXPONENT), and sets the rest to 0.0; the full-width oracle
+    # evaluates every column.
     # Sorted abscissae give narrow windows per tile, and single rows
     # (_row) the narrowest; both must equal the oracle to the bit.
     XI = 0.37
@@ -368,10 +370,10 @@ class TestExactZeroWindow:
             if n >= 1024:
                 assert far.any()
 
-    # The Chernoff edges at the extremes of x: at the endpoints, in the
+    # The row bands at the extremes of x: at the endpoints, in the
     # underflow range next to them, and in the middle.  Mixed blocks hold
-    # endpoint-cluster and mid-grid rows together, so one block's window
-    # spans both (at n = 65536 a block has 15 rows).
+    # endpoint-cluster and mid-grid rows together, so one block's tiles
+    # span both (at n = 65536 a block has 15 rows).
     EDGE_X = [0.0, 1e-300, 1e-10, 1e-3, 0.2, 0.5, 0.99, 1.0 - 1e-10, 1.0]
 
     @classmethod
@@ -381,24 +383,68 @@ class TestExactZeroWindow:
 
     @pytest.mark.parametrize("n", [64, 1024, 16384, 65536])
     def test_chernoff_edges_equal_full_width(self, n):
+        # the edges of the row band at _ROW_EXPONENT (Bernstein's
+        # inequality, a Chernoff bound): the full-width block is exactly
+        # 0.0 outside every row's band, and rows and blocks equal it
         xs = np.array(self.EDGE_X)
         for x in xs:
             assert (_row(n, x) == full_width_block(n, [x], 0, n)[0]).all(), x
         for x in (xs, self._mixed()):
             want = full_width_block(n, x, 0, n)
+            lo, hi = _bands(n, x, _ROW_EXPONENT)
+            k = np.arange(n + 1)
+            assert (want[(k < lo[:, None]) | (k > hi[:, None])] == 0.0).all()
             got = np.concatenate([b.copy() for _, b in _blocks(n, x)])
             assert (got == want).all()
 
+
+class TestSweepBands:
+    # The lemma sweep's blocks hold each row's band at _SWEEP_EXPONENT and
+    # 0.0 outside it: the full-width value inside, whatever the tiles.
+
     @pytest.mark.parametrize("n", [64, 1024, 16384, 65536])
-    def test_chernoff_window_within_hoeffding(self, n):
-        hoeffding = math.sqrt(375 * n)
-        for x in self.EDGE_X:
-            for a, b in ((x, 1.0 - x), (1.0 - x, x)):
-                r = _zero_reach(n, a, b)
-                if a > 0.0 and hoeffding < n * b:
-                    assert 0.0 < r < hoeffding, (x, a)
-                else:
-                    assert r == hoeffding, (x, a)
+    def test_blocks_are_the_full_width_block_on_each_band(self, n, monkeypatch):
+        # endpoint-cluster and mid-grid rows in no order; x = 0 and x = 1
+        # stretch each block's bands over 0..n, so
+        # _TILE_VALUES = tile * (n + 1) makes tiles of `tile` rows, and a
+        # tile of 3 or 7 rows spans bands far wider than some of its rows'
+        xs = TestExactZeroWindow._mixed()
+        lo, hi = _bands(n, xs, _SWEEP_EXPONENT)
+        k = np.arange(n + 1)
+        inside = (k >= lo[:, None]) & (k <= hi[:, None])
+        want = np.where(inside, full_width_block(n, xs, 0, n), 0.0).view(np.uint64)
+        for tile in (1, 3, 7):
+            monkeypatch.setattr(basis, "_TILE_VALUES", tile * (n + 1))
+            got = np.concatenate([b.copy() for _, b in
+                                  _blocks(n, xs, exponent=_SWEEP_EXPONENT)])
+            assert (got.view(np.uint64) == want).all(), tile
+
+    @pytest.mark.parametrize("n", [64, 1024, 16384])
+    @pytest.mark.parametrize("x", [1e-10, 0.013, 0.37, 0.5])
+    def test_mass_outside_the_band_within_bernstein_bound(self, n, x):
+        # 40-digit tails: the first term past each band edge from log-gamma,
+        # then the ratio recurrence outward.  Past the mode the ratios fall
+        # below 1 and keep falling, so a tail stops once a term is below
+        # 1e-250 (the rest is smaller still)
+        (lo,), (hi,) = _bands(n, np.array([x]), _SWEEP_EXPONENT)
+        with mpmath.workdps(40):
+            xm = mpmath.mpf(x)
+            r = xm / (1 - xm)
+
+            def p(k):
+                return mpmath.exp(mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1)
+                                  - mpmath.loggamma(n - k + 1)
+                                  + k * mpmath.log(xm) + (n - k) * mpmath.log1p(-xm))
+
+            mass = mpmath.mpf(0)
+            for k, step in ((hi + 1, 1), (lo - 1, -1)):
+                term = p(k) if 0 <= k <= n else 0
+                while 0 <= k <= n and term > 1e-250:
+                    mass += term
+                    # p_{k+1} = p_k (n - k) r / (k + 1), p_{k-1} = p_k k / ((n - k + 1) r)
+                    term *= ((n - k) * r / (k + 1) if step > 0 else k / ((n - k + 1) * r))
+                    k += step
+            assert mass <= 2 * mpmath.exp(-_SWEEP_EXPONENT), mass
 
 
 @pytest.fixture
@@ -431,7 +477,7 @@ class TestBandedApply:
         reach = math.sqrt(375 * n)
         for xs in (grid.points, TestExactZeroWindow._mixed()):
             x = np.sort(xs[(xs > 0.0) & (xs < 1.0)])
-            lo, hi = basis._bands(n, x)
+            lo, hi = _bands(n, x, basis._BAND_EXPONENT)
             worst = 0.0
             for a in range(0, x.size, 16):
                 rows = slice(a, a + 16)
@@ -528,9 +574,9 @@ class TestRowSplit:
     @pytest.mark.parametrize("n", [1024, 16384, 65536])
     def test_mixed_tiles_give_the_full_width_bits(self, n, monkeypatch):
         # one whole block of endpoint-cluster and mid-grid rows in no
-        # order: a tile's window spans the Chernoff edges of its smallest
-        # and largest x, which are rarely its first and last rows.  x = 0
-        # and x = 1 stretch the block's window over 0..n, so
+        # order: a tile spans from the lowest band start to the highest
+        # band end of its rows, which are rarely its first and last rows.
+        # x = 0 and x = 1 stretch the bands' union over 0..n, so
         # _TILE_VALUES = tile * (n + 1) makes tiles of `tile` rows.
         xs = np.resize(TestExactZeroWindow._mixed(), _BLOCK_VALUES // (n + 1))
         want = full_width_block(n, xs, 0, n).view(np.uint64)

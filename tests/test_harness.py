@@ -357,9 +357,9 @@ class TestLemmaSuiteOneSweep:
         # the kernel through, is one block pass per degree
         calls = []
 
-        def counting(n, x, *window):
+        def counting(n, x, *window, **kw):
             calls.append(n)
-            return _blocks(n, x, *window)
+            return _blocks(n, x, *window, **kw)
 
         monkeypatch.setattr(basis, "_blocks", counting)
         monkeypatch.setattr(checks, "_blocks", counting)
