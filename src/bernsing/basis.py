@@ -9,7 +9,8 @@ cancellation (log-binomial against k*ln x + (n-k)*ln(1-x), both of size
 ~n) would cost ~1e-12 of absolute accuracy if assembled in float64,
 which is why the table and assembly use ``np.longdouble``.  Every
 kernel reads one window rule, the Bernstein band of x at an exponent R
-(_bands), outside which a row holds at most 2 e^-R of its mass.  A block
+(_bands), outside which a row holds at most 2 e^-R of its mass.  Blocks
+hold whole rows, k = 0..n, and callers slice the indices they read.  An
 entry is the full-width value inside its row's band and 0.0 outside it:
 rows take R = 750, where float64 ``exp`` returns exactly 0.0 for every
 entry left out, and the lemma sweep R = 100 (see checks._SWEEP_EXPONENT).
@@ -132,16 +133,16 @@ def _bands(n: int, x: np.ndarray, exponent: float) -> tuple[np.ndarray, np.ndarr
     return lo.astype(int), hi.astype(int)
 
 
-def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None,
-            exponent: float = _ROW_EXPONENT):
-    """Yield (rows, block) with block[i, j] = p_{n, klo+j}(x[rows][i])
-    inside the row's band at the exponent (_bands) and 0.0 outside it.
+def _blocks(n: int, x: np.ndarray, exponent: float = _ROW_EXPONENT):
+    """Yield (rows, block) with block[i, k] = p_{n,k}(x[rows][i]) for
+    k = 0..n inside the row's band at the exponent (_bands) and 0.0
+    outside it.
 
     x is a 1-d float64 array in [0,1].  Rows come _BLOCK_VALUES values
     at a time, and every block is written into one output array, so a
     block is only valid until the next one is requested.  With 0**0 = 1 the
-    rows at x = 0 and x = 1 are unit vectors (zero outside the index
-    window).
+    rows at x = 0 and x = 1 are unit vectors.  A caller that needs some
+    indices only slices the columns: an entry does not depend on them.
 
     A block is assembled a tile of rows at a time, each between the lowest
     band start and the highest band end of its rows; the union of all the
@@ -150,21 +151,17 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None,
     0.0, so no bit depends on how the rows are tiled.  At _ROW_EXPONENT
     that is the full-width block itself.
     """
-    khi = n if khi is None else khi
-    k = np.arange(klo, khi + 1, dtype=_LD)
+    k = np.arange(n + 1, dtype=_LD)
     nk = n - k
-    lrow = _log_binom(n, np.arange(klo, khi + 1))
-    # each row's band as the columns j0 .. j1 - 1 of the window, also as
-    # lists: Python's min and max of a tile's few bounds cost less than
-    # numpy reductions
+    lrow = _log_binom(n, np.arange(n + 1))
+    # each row's band as the columns j0 .. j1 - 1, also as lists: Python's
+    # min and max of a tile's few bounds cost less than numpy reductions
     j0, j1 = _bands(n, x, exponent)
     j1 += 1
-    if klo > 0 or khi < n:
-        j0, j1 = (np.minimum(np.maximum(j, klo), khi + 1) - klo for j in (j0, j1))
     l0, l1 = j0.tolist(), j1.tolist()
     # the union of all bands sizes the tiles, and one pair of longdouble
     # buffers holds a tile
-    width = max(max(l1) - min(l0), 1)
+    width = max(l1) - min(l0)
     tile = max(1, _TILE_VALUES // width)
     buf = np.empty((2, min(tile, x.size) * width), _LD)
     step = max(1, _BLOCK_VALUES // k.size)
@@ -201,16 +198,9 @@ def _blocks(n: int, x: np.ndarray, klo: int = 0, khi: int | None = None,
                     np.copyto(v[:, e1 - c0 :], 0.0, where=np.arange(e1, c1) >= b1[s, None])
         # the log-space form leaves 0 * -inf = NaN where 0**0 = 1 is
         # meant; every other entry of an endpoint row is exp(-inf) = 0
-        if klo == 0:
-            o[xb == 0.0, 0] = 1.0
-        if khi == n:
-            o[xb == 1.0, -1] = 1.0
+        o[xb == 0.0, 0] = 1.0
+        o[xb == 1.0, -1] = 1.0
         yield rows, o
-
-
-def _row(n: int, x: float, klo: int = 0, khi: int | None = None) -> np.ndarray:
-    """p_{n,k}(x) for k = klo..khi at one abscissa."""
-    return next(_blocks(n, _check_x([x]), klo, khi))[1][0]
 
 
 def _inverse_weights(n: int, u: float, v: float) -> np.ndarray:
@@ -221,7 +211,7 @@ def _inverse_weights(n: int, u: float, v: float) -> np.ndarray:
 
 def basis_row(n: int, x: float) -> np.ndarray:
     """p_{n,k}(x) for k = 0..n as a read-only array (non-negative, sums to 1)."""
-    w = _row(_check_degree(n, 1), x)
+    w = next(_blocks(_check_degree(n, 1), _check_x([x])))[1][0]
     w.flags.writeable = False
     return w
 

@@ -233,16 +233,14 @@ def _pow(base: np.ndarray, p: float) -> np.ndarray:
     return np.array([b**p for b in base.tolist()])
 
 
-def _term_max(n: int, rows: slice, block, labels, span: slice, window, term) -> np.ndarray:
+def _term_max(n: int, rows: slice, block, labels, span: slice, term) -> np.ndarray:
     """Max per label of term over the block rows inside span (-inf
-    where there are none), with the columns cut to the index window(n)."""
+    where there are none)."""
     lo, hi = max(rows.start, span.start), min(rows.stop, span.stop)
     if lo >= hi:
         return np.full(len(labels), -math.inf)
-    klo, khi = window(n)
-    k = np.arange(klo, khi + 1, dtype=float)
-    part = block[lo - rows.start : hi - rows.start, klo : khi + 1]
-    return np.reshape(term(n, slice(lo - span.start, hi - span.start), k, part),
+    part = block[lo - rows.start : hi - rows.start]
+    return np.reshape(term(n, slice(lo - span.start, hi - span.start), part),
                       (len(labels), -1)).max(axis=1)
 
 
@@ -260,10 +258,10 @@ def _sweep(cfg, x, terms: list) -> dict:
 
     For each n the basis block over all indices 0..n at the abscissae x
     is built once, each row on its band at _SWEEP_EXPONENT.  A term is
-    (labels, span, window, fn): span is the slice of x it reads,
-    window(n) its index range, and fn maps (n, rows, k, block) to one
-    value per block row and label, where rows indexes x[span] and k
-    holds the indices.
+    (labels, span, fn): span is the slice of x it reads, and fn maps
+    (n, rows, block) to one value per block row and label, where rows
+    indexes x[span] and the block's columns are the indices 0..n; fn
+    slices the indices its lemma sums over.
     """
     labels = [label for t in terms for label in t[0]]
     best = np.empty((len(labels), len(cfg.n_values)))
@@ -308,17 +306,19 @@ def _basis_lemmas(cfg, grid, f) -> dict:
     def inverse(u, v):
         den = _pow(xs, -u) * _pow(1.0 - xs, -v)
         weights = {n: _inverse_weights(n, u, v) for n in cfg.n_values}
-        return lambda n, rows, k, block: np.vecdot(block, weights[n]) / den[rows]
+        return lambda n, rows, block: np.vecdot(block[:, 1:n], weights[n]) / den[rows]
 
     gammas, betas = (1.0, 2.0, 3.0), (1.0, 2.0)  # of lemmas 4 and 6
+    near = {n: _window(n, cfg.params.xi) for n in cfg.n_values}  # of lemmas 5 and 6
     den, wbi = {g: _pow(phi, g) for g in gammas}, wb[inner]  # betas are gammas too
 
-    def moments(n, rows, k, block):
+    def moments(n, rows, block):
         """Lemma 4 over 0..n and lemma 6 near xi from one table d = |k - n x|
         per row group.  np.vecdot sums each row as a 1-d np.dot does; a
         matrix product would sum in another order and move the trend
         statistic of ratios that equal 1 to rounding (lemma 4, gamma = 2)."""
-        klo, khi = near(n)
+        klo, khi = near[n]
+        k = np.arange(n + 1, dtype=float)
         t, step = xs[rows, None], max(1, _GROUP_VALUES // k.size)
         sums = []
         for i in range(0, len(t), step):
@@ -337,16 +337,16 @@ def _basis_lemmas(cfg, grid, f) -> dict:
                 + [wbi[rows] * sb / (n ** ((b - a) / 2) * den[b][rows])
                    for b, sb in zip(betas, s[len(gammas):])])
 
-    # (labels, abscissae, index window, per-row values per label)
-    full, near = (lambda n: (0, n)), (lambda n: _window(n, cfg.params.xi))
-    terms = [([("lemma1", f"(u={u:g},v={v:g})")], inner, lambda n: (1, n - 1), inverse(u, v))
+    # (labels, abscissae, per-row values per label); lemma 1 sums the
+    # interior indices 1..n-1, lemma 5 those within sqrt(n) of n xi
+    terms = [([("lemma1", f"(u={u:g},v={v:g})")], inner, inverse(u, v))
              for u, v in ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0))]
-    terms.append(([("lemma2", f"{f.name}:")], whole, full,
-                  lambda n, rows, k, block: w[rows] * np.abs(block @ samples[n]) / nwf))
+    terms.append(([("lemma2", f"{f.name}:")], whole,
+                  lambda n, rows, block: w[rows] * np.abs(block @ samples[n]) / nwf))
     terms.append(([("lemma4", f"gamma={g:g}") for g in gammas]
-                  + [("lemma6", f"beta={b:g}") for b in betas], inner, full, moments))
-    terms.append(([("lemma5", "mass")], whole, near,
-                  lambda n, rows, k, block: wb[rows] * block.sum(1)))
+                  + [("lemma6", f"beta={b:g}") for b in betas], inner, moments))
+    terms.append(([("lemma5", "mass")], whole,
+                  lambda n, rows, block: wb[rows] * block[:, near[n][0] : near[n][1] + 1].sum(1)))
     seqs = {}
     for (name, label), seq in _sweep(cfg, x, terms).items():
         seqs.setdefault(name, {})[label] = seq

@@ -114,6 +114,8 @@ def quadrature_bound_ratio(sw: StepWeight, t: float, x: float) -> float:
     (composite 2-d trapezoid) to t^2 phi^-2(x), for 0 < t < 1/4 and
     t < x < 1-t.  Boundedness of this ratio over a (t, x) sweep is the
     step-weight integrability property the smoothing arguments rest on.
+    A ValueError names t, x and the exponents where phi^-2 or its
+    integral is not a finite positive float64 (beta0 or beta1 too large).
     """
     if not 0.0 < t < 0.25:
         raise ValueError(f"t must lie in (0, 1/4), got {t!r}")
@@ -124,5 +126,11 @@ def quadrature_bound_ratio(sw: StepWeight, t: float, x: float) -> float:
     wu[0] *= 0.5
     wu[-1] *= 0.5
     y = x + u[:, None] + u[None, :]
-    integral = float(wu @ step_weight(sw, y) ** -2.0 @ wu)
-    return integral / (t * t * step_weight(sw, x) ** -2.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        integral = float(wu @ step_weight(sw, y) ** -2.0 @ wu)
+        # a numpy power gives inf where a float power raises OverflowError
+        weight = float(np.float64(step_weight(sw, x)) ** -2.0)
+    if not (0.0 < integral < np.inf and 0.0 < weight < np.inf):
+        raise ValueError(f"phi^-2 or its integral is not finite and positive at "
+                         f"t={t!r}, x={x!r} with beta0={sw.beta0!r}, beta1={sw.beta1!r}")
+    return integral / (t * t * weight)

@@ -4,17 +4,20 @@ Most of this is a from-scratch reimplementation (exact binomials,
 explicit four-sum operator, finite differences) kept deliberately
 separate from the library's evaluation paths.  Two parts are not: the
 log-binomial table that full_width_block reads, for the reason in its
-docstring, and the scalar sums (basis_value to lemma6_sum), which take
-one basis row at a time from the library's row path.  The lemma sweep
-reads whole blocks through moment tables of its own, so they check it
-one abscissa at a time.
+docstring, and the scalar sums (basis_value to lemma6_sum), which slice
+the indices they sum over from one whole row of basis_row.  The lemma
+sweep reads whole blocks through moment tables of its own, so they check
+it one abscissa at a time.  The last row is kept: a caller that runs all
+its sums at one (n, x) before the next builds each row once, and no more
+than one row is held.
 """
 import math
+from functools import lru_cache
 
 import mpmath
 import numpy as np
 
-from bernsing.basis import _check_degree, _inverse_weights, _row
+from bernsing.basis import _check_degree, _inverse_weights, basis_row
 from bernsing.harness.checks import _window
 from bernsing.weights import wbar
 
@@ -99,13 +102,16 @@ def full_width_block(n, x, klo, khi):
     return out
 
 
+# the last row asked for, kept for the next sum at the same (n, x)
+_row = lru_cache(maxsize=1)(basis_row)
+
+
 def basis_value(n, k, x):
     """p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k), evaluated in log space."""
-    n = _check_degree(n)
+    n = _check_degree(n, 1)
     if not 0 <= k <= n or int(k) != k:
         raise ValueError(f"index k must be an integer in 0..{n}, got {k!r}")
-    k = int(k)
-    return float(_row(n, x, k, k)[0])
+    return float(_row(n, x)[int(k)])
 
 
 def central_moment_sum(n, gamma, x):
@@ -128,7 +134,7 @@ def inverse_moment_sum(n, u, v, x):
         raise ValueError(f"abscissa must lie in (0,1), got {x!r}")
     if not (math.isfinite(u) and math.isfinite(v)) or u < 0 or v < 0:
         raise ValueError(f"exponents u, v must be finite and non-negative, got {u!r}, {v!r}")
-    return float(np.dot(_row(n, x, 1, n - 1), _inverse_weights(n, u, v)))
+    return float(np.dot(_row(n, x)[1:n], _inverse_weights(n, u, v)))
 
 
 def an_sum(n, params, x):
@@ -136,7 +142,7 @@ def an_sum(n, params, x):
     n*xi (the samples the bridge replaces)."""
     n = _check_degree(n, 1)
     klo, khi = _window(n, params.xi)
-    return wbar(params, x) * float(_row(n, x, klo, khi).sum())
+    return wbar(params, x) * float(_row(n, x)[klo : khi + 1].sum())
 
 
 def lemma6_sum(n, params, beta, x):
@@ -146,7 +152,7 @@ def lemma6_sum(n, params, beta, x):
         raise ValueError(f"beta must be finite and non-negative, got {beta!r}")
     klo, khi = _window(n, params.xi)
     d = np.abs(np.arange(klo, khi + 1, dtype=float) - n * x)
-    return wbar(params, x) * float(np.dot(_row(n, x, klo, khi), d**beta))
+    return wbar(params, x) * float(np.dot(_row(n, x)[klo : khi + 1], d**beta))
 
 
 def quintic_switch(u):

@@ -19,7 +19,6 @@ from bernsing.basis import (
     _ROW_EXPONENT,
     _bands,
     _blocks,
-    _row,
     basis_row,
     bernstein_apply,
 )
@@ -335,7 +334,8 @@ class TestExactZeroWindow:
     # _ROW_EXPONENT), and sets the rest to 0.0; the full-width oracle
     # evaluates every column.
     # Sorted abscissae give narrow windows per tile, and single rows
-    # (_row) the narrowest; both must equal the oracle to the bit.
+    # (basis_row, a tile of one row) the narrowest; both must equal the
+    # oracle to the bit.
     XI = 0.37
 
     @classmethod
@@ -353,12 +353,11 @@ class TestExactZeroWindow:
     @pytest.mark.parametrize("n", [1, 7, 1024, 4096, 16384])
     def test_equals_full_width(self, n):
         xs = self._abscissae()
-        for klo, khi in self._windows(n):
-            want = full_width_block(n, xs, klo, khi)
-            got = np.concatenate([b.copy() for _, b in _blocks(n, xs, klo, khi)])
-            assert (got == want).all(), (klo, khi)
-            for x, row in zip(xs, want):
-                assert (_row(n, x, klo, khi) == row).all(), (x, klo, khi)
+        want = full_width_block(n, xs, 0, n)
+        got = np.concatenate([b.copy() for _, b in _blocks(n, xs)])
+        assert (got == want).all()
+        for x, row in zip(xs, want):
+            assert (basis_row(n, x) == row).all(), x
 
     @pytest.mark.parametrize("n", [1, 7, 1024, 4096, 16384])
     def test_oracle_is_zero_beyond_the_radius(self, n):
@@ -382,13 +381,13 @@ class TestExactZeroWindow:
         return np.concatenate([[x, m] for x, m in zip(cls.EDGE_X, mid)] + [cls.EDGE_X[::-1]])
 
     @pytest.mark.parametrize("n", [64, 1024, 16384, 65536])
-    def test_chernoff_edges_equal_full_width(self, n):
+    def test_row_band_edges_equal_full_width(self, n):
         # the edges of the row band at _ROW_EXPONENT (Bernstein's
-        # inequality, a Chernoff bound): the full-width block is exactly
-        # 0.0 outside every row's band, and rows and blocks equal it
+        # inequality): the full-width block is exactly 0.0 outside every
+        # row's band, and rows and blocks equal it
         xs = np.array(self.EDGE_X)
         for x in xs:
-            assert (_row(n, x) == full_width_block(n, [x], 0, n)[0]).all(), x
+            assert (basis_row(n, x) == full_width_block(n, [x], 0, n)[0]).all(), x
         for x in (xs, self._mixed()):
             want = full_width_block(n, x, 0, n)
             lo, hi = _bands(n, x, _ROW_EXPONENT)
@@ -506,7 +505,7 @@ class TestBandedApply:
             assert (got.view(np.uint64) == want[perm].view(np.uint64)).all()
 
 
-class TestRowSplit:
+class TestBlockTiles:
     # _blocks cuts each block's rows into tiles, one after another on
     # the calling thread.  Every entry sees the same operations however
     # the rows are cut, so any tile size must give the full-width bits.
@@ -519,17 +518,14 @@ class TestRowSplit:
 
     @pytest.mark.parametrize("n", [1024, 16384, 65536])
     @pytest.mark.parametrize("tile", [1, 3, 7])
-    @pytest.mark.parametrize("window", ["full", "inner", "one"])
-    def test_any_tile_size_gives_the_full_width_bits(self, n, tile, window, monkeypatch):
-        # x = 0 and x = 1 stretch the block's window over all of klo..khi,
-        # so _TILE_VALUES = tile * width makes tiles of `tile` rows; x = 0
-        # and x = 1 lie in different tiles.  "inner" is
-        # inverse_moment_sum's window, "one" basis_value's.
-        klo, khi = {"full": (0, n), "inner": (1, n - 1), "one": (n // 3, n // 3)}[window]
+    def test_any_tile_size_gives_the_full_width_bits(self, n, tile, monkeypatch):
+        # x = 0 and x = 1 stretch the block's bands over all of 0..n, so
+        # _TILE_VALUES = tile * (n + 1) makes tiles of `tile` rows; x = 0
+        # and x = 1 lie in different tiles
         xs = self._abscissae(n)
-        want = full_width_block(n, xs, klo, khi).view(np.uint64)
-        monkeypatch.setattr(basis, "_TILE_VALUES", tile * (khi - klo + 1))
-        (rows, got), = _blocks(n, xs, klo, khi)
+        want = full_width_block(n, xs, 0, n).view(np.uint64)
+        monkeypatch.setattr(basis, "_TILE_VALUES", tile * (n + 1))
+        (rows, got), = _blocks(n, xs)
         assert rows == slice(0, xs.size)
         assert (got.view(np.uint64) == want).all()
 
@@ -561,7 +557,7 @@ class TestRowSplit:
 
     def test_callers_errstate_does_not_raise(self):
         # x = 0 and x = 1 give log(0) and 0 * -inf; the interior rows
-        # underflow in exp near the window edges
+        # underflow in exp near the band edges
         n, xs = 16384, self._abscissae(16384)
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -129,6 +129,22 @@ class TestExitCodes:
         assert err.startswith(f"error: evaluation of {failed}: overflow")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag, value", [("--beta0", "100"), ("--beta0", "150"),
+                                             ("--beta1", "150")])
+    def test_large_step_exponent_is_one_error_line(self, flag, value, capsys):
+        # lemma 3's phi^-2 overflows: its integral at 100, phi(x)^-2 itself
+        # at 150, where a float power used to raise OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["lemmas", "--xi", "0.5", "--alpha", "1", "--n", "64:128",
+                            flag, value])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("error: phi^-2 or its integral is not finite")
+        assert err.count("\n") == 1
+        assert all(f" {name}=" in err for name in ("t", "x", "beta0", "beta1"))
+
     def test_vanishing_modulus_is_a_failed_check(self, monkeypatch, capsys):
         # a modulus that vanishes where the error does not makes direct_check
         # raise Degenerate, which the CLI reports as a failed check

@@ -251,25 +251,47 @@ class TestLemmaSweepsMatchScalarSums:
     def _cfg(self, sw):
         return _cfg(self.PARAMS, sw, n_values=(64, 128, 256, 512), grid_density=513)
 
-    @staticmethod
-    def _expect(cfg, ratio, values):
-        """The worst ratio and the verdict notes of the scalar sums, one
-        sequence per value, over the grid points in [0.1, 0.9]."""
-        x = cfg.make_grid().points
-        xs = x[(x >= 0.1) & (x <= 0.9)]
-        seqs = [[max(ratio(n, p, float(t)) for t in xs) for n in cfg.n_values]
-                for p in values]
-        return max(map(max, seqs)), [sequence_verdict(s)[1] for s in seqs]
-
-    def _moments(self, cfg):
-        """Lemmas 4 and 6 from the scalar sums."""
-        a = self.PARAMS.alpha
-        return {
-            "lemma4": self._expect(cfg, lambda n, g, t: central_moment_sum(n, g, t)
-                                   / (n ** (g / 2) * varphi(t) ** g), (1.0, 2.0, 3.0)),
-            "lemma6": self._expect(cfg, lambda n, b, t: lemma6_sum(n, self.PARAMS, b, t)
-                                   / (n ** ((b - a) / 2.0) * varphi(t) ** b), (1.0, 2.0)),
+    @pytest.fixture(scope="class")
+    def scalar(self, sw):
+        """The scalar sums' expectations: per lemma 1, 4 and 6 the worst
+        ratio and the verdict notes, one sequence per value over the grid
+        points in [0.1, 0.9]; lemma 5's grid max per degree; and the
+        _blocks calls they took with the number of (n, x) rows.  Every sum
+        of one (n, x) runs before the next, on the oracles' kept row."""
+        cfg, params, a = self._cfg(sw), self.PARAMS, self.PARAMS.alpha
+        lemmas = {
+            "lemma1": (lambda n, uv, t: inverse_moment_sum(n, *uv, t)
+                       / (t ** -uv[0] * (1.0 - t) ** -uv[1]),
+                       ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0))),
+            "lemma4": (lambda n, g, t: central_moment_sum(n, g, t)
+                       / (n ** (g / 2) * varphi(t) ** g), (1.0, 2.0, 3.0)),
+            "lemma6": (lambda n, b, t: lemma6_sum(n, params, b, t)
+                       / (n ** ((b - a) / 2.0) * varphi(t) ** b), (1.0, 2.0)),
         }
+        seqs = {key: [[] for _ in values] for key, (_, values) in lemmas.items()}
+        seq5, calls, blocks = [], [], basis._blocks
+
+        def counting(n, x, **kw):
+            calls.append(n)
+            return blocks(n, x, **kw)
+
+        x = cfg.make_grid().points.tolist()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(basis, "_blocks", counting)
+            for n in cfg.n_values:
+                mass, ratios = [], {key: [] for key in lemmas}
+                for t in x:
+                    mass.append(an_sum(n, params, t))
+                    if 0.1 <= t <= 0.9:
+                        for key, (ratio, values) in lemmas.items():
+                            ratios[key].append([ratio(n, v, t) for v in values])
+                seq5.append(max(mass))
+                for key, r in ratios.items():
+                    for seq, col in zip(seqs[key], zip(*r)):
+                        seq.append(max(col))
+        expect = {key: (max(map(max, ss)), [sequence_verdict(s)[1] for s in ss])
+                  for key, ss in seqs.items()}
+        return expect, seq5, len(calls), len(cfg.n_values) * len(x)
 
     @staticmethod
     def _check(results, cases):
@@ -277,20 +299,22 @@ class TestLemmaSweepsMatchScalarSums:
             assert results[key].constant == worst, key
             assert [d.split(" ", 1)[1] for d in results[key].detail.split("; ")] == notes
 
-    def test_bit_identical(self, sw):
+    def test_scalar_sums_build_each_row_once(self, scalar):
+        # lemmas 1, 4, 5 and 6 read each (n, x) row through 9 scalar sums
+        # (an_sum alone outside [0.1, 0.9]); the oracles slice one kept
+        # whole row, so no row is built twice
+        *_, calls, rows = scalar
+        assert calls <= rows
+
+    def test_bit_identical(self, sw, scalar):
         # lemmas 1, 2, 4, 5 and 6 evaluate one basis block per degree;
         # the scalar sums, one abscissa at a time, and the operator
         # applied to the whole grid must give the same bits
         params, cfg = self.PARAMS, self._cfg(sw)
         grid = cfg.make_grid()
         results = lemma_suite(cfg)
-        self._check(results, {
-            "lemma1": self._expect(cfg, lambda n, uv, t: inverse_moment_sum(n, *uv, t)
-                                   / (t ** -uv[0] * (1.0 - t) ** -uv[1]),
-                                   ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0))),
-            **self._moments(cfg),
-        })
-        seq5 = [max(an_sum(n, params, float(t)) for t in grid.points) for n in cfg.n_values]
+        expect, seq5, *_ = scalar
+        self._check(results, expect)
         slope = fit_rate(list(zip(cfg.n_values, seq5)), scale_name="n").fitted_slope
         assert results["lemma5"].constant == slope
         # lemma 2's max sits at x = 1 for inner-root, inside (0, 1) for
@@ -313,12 +337,12 @@ class TestLemmaSweepsMatchScalarSums:
             assert res["lemma2"].constant == pytest.approx(max(applied), rel=1e-13, abs=0.0), name
             assert res["lemma2"].detail == f"{name}: {sequence_verdict(seq2)[1]}"
 
-    def test_any_row_group_gives_the_scalar_sums(self, sw, monkeypatch):
+    def test_any_row_group_gives_the_scalar_sums(self, sw, scalar, monkeypatch):
         # lemmas 4 and 6 read one |k - n x| table per row group: groups of
         # 1 and 7 rows, and one group per basis block, must all give the
         # bits of the scalar sums
         cfg = self._cfg(sw)
-        cases = self._moments(cfg)
+        cases = {key: scalar[0][key] for key in ("lemma4", "lemma6")}
         for budget in (_Rows(1), _Rows(7), 10**9):
             monkeypatch.setattr(checks, "_GROUP_VALUES", budget)
             self._check(lemma_suite(cfg), cases)
@@ -357,9 +381,9 @@ class TestLemmaSuiteOneSweep:
         # the kernel through, is one block pass per degree
         calls = []
 
-        def counting(n, x, *window, **kw):
+        def counting(n, x, **kw):
             calls.append(n)
-            return _blocks(n, x, *window, **kw)
+            return _blocks(n, x, **kw)
 
         monkeypatch.setattr(basis, "_blocks", counting)
         monkeypatch.setattr(checks, "_blocks", counting)
