@@ -505,7 +505,7 @@ class TestBandedApply:
             assert (got.view(np.uint64) == want[perm].view(np.uint64)).all()
 
 
-class TestBlockTiles:
+class TestRowSplit:
     # _blocks cuts each block's rows into tiles, one after another on
     # the calling thread.  Every entry sees the same operations however
     # the rows are cut, so any tile size must give the full-width bits.
