@@ -102,10 +102,10 @@ _TILE_ANCHORS = 1 << 13
 _POWER_FLOOR = 1e-300
 
 
-def _check_degree(n: int, least: int = 0) -> int:
-    """n as an int; a float-valued integer such as 64.0 is accepted."""
-    if n < least or int(n) != n:
-        raise ValueError(f"degree must be an integer >= {least}, got {n!r}")
+def _check_degree(n: int) -> int:
+    """n as an int, at least 1; a float-valued integer such as 64.0 is accepted."""
+    if n < 1 or int(n) != n:
+        raise ValueError(f"degree must be an integer >= 1, got {n!r}")
     return int(n)
 
 
@@ -211,7 +211,7 @@ def _inverse_weights(n: int, u: float, v: float) -> np.ndarray:
 
 def basis_row(n: int, x: float) -> np.ndarray:
     """p_{n,k}(x) for k = 0..n as a read-only array (non-negative, sums to 1)."""
-    w = next(_blocks(_check_degree(n, 1), _check_x([x])))[1][0]
+    w = next(_blocks(_check_degree(n), _check_x([x])))[1][0]
     w.flags.writeable = False
     return w
 

@@ -3,13 +3,16 @@
 Every inequality with an unspecified constant is operationalised as a
 bounded-ratio sweep: the measured quantity is divided by its claimed
 bound, the resulting sequence over the degree sweep must stay within a
-factor 4 of itself and show no monotone growth trend (Kendall tau of
-ratio against n at most 0.5).  Decay statements are checked as fitted
-log-log slopes.
+factor 4 of itself and show no growth trend (Kendall tau of ratio
+against n above 0.5 with a spread above TREND_SLACK); direct's finite
+ratios may grow at most DIRECT_GROWTH-fold, last positive over first.
+Decay statements are checked as fitted log-log slopes: lemma 5's at
+most -alpha/2 + 0.1, the inverse modulus's within SLOPE_TOL of alpha0.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -68,17 +71,16 @@ def kendall_tau(values) -> float:
     return conc / (m * (m - 1) / 2)
 
 
-def sequence_verdict(ratios, max_over_min: float = MAX_OVER_MIN,
-                     tau_limit: float = TAU_LIMIT) -> tuple[bool, str]:
+def sequence_verdict(ratios, max_over_min: float = MAX_OVER_MIN) -> tuple[bool, str]:
     """Pass rule for a bounded-constant sweep: spread within a factor
     max_over_min, and no monotone growth trend (Kendall tau above
-    tau_limit with more than TREND_SLACK accumulated growth)."""
+    TAU_LIMIT with more than TREND_SLACK accumulated growth)."""
     r = np.asarray(ratios, dtype=float)
     if not np.isfinite(r).all() or (r <= 0).any():
         return False, "non-finite or non-positive ratio"
     spread = float(r.max() / r.min())
     tau = kendall_tau(r)
-    ok = spread <= max_over_min and not (tau > tau_limit and spread > TREND_SLACK)
+    ok = spread <= max_over_min and not (tau > TAU_LIMIT and spread > TREND_SLACK)
     return ok, f"max/min={spread:.3g} tau={tau:.2f}"
 
 
@@ -133,27 +135,13 @@ def _theorem_setup(cfg: ExperimentConfig, check: str):
     return corpus(cfg.function_name, cfg.params, cfg.alpha0), cfg.make_grid()
 
 
-def _fit(n_values, seq) -> RateReport | None:
-    """fit_rate over the degree sweep when the sequence can be fitted
-    (at least 4 points, all positive), else None."""
-    fittable = len(seq) >= 4 and all(v > 0.0 for v in seq)
-    return fit_rate(list(zip(n_values, seq)), scale_name="n") if fittable else None
-
-
-def _report(rows, fit: RateReport | None, max_ratio: float, ok: bool,
-            tolerance: float) -> RateReport:
-    """A degree-sweep report whose slope fields are copied from fit
-    (empty without one)."""
-    return RateReport(
-        scale_name="n",
-        rows=tuple(rows),
-        fitted_slope=None if fit is None else fit.fitted_slope,
-        slope_stderr=None if fit is None else fit.slope_stderr,
-        residuals=() if fit is None else fit.residuals,
-        max_ratio=max_ratio,
-        verdict="pass" if ok else "fail",
-        tolerance=tolerance,
-    )
+def _fit(n_values, seq) -> RateReport:
+    """The degree-sweep report of seq: fit_rate's when it can be fitted (at
+    least 4 points, all positive), else its values as rows, with no slope."""
+    if len(seq) >= 4 and all(v > 0.0 for v in seq):
+        return fit_rate(list(zip(n_values, seq)), scale_name="n")
+    rows = tuple(RateRow(float(n), v, 0.0, 0.0) for n, v in zip(n_values, seq))
+    return RateReport("n", rows, None, None, (), 0.0, "pass", 0.0)
 
 
 def direct_check(cfg: ExperimentConfig) -> RateReport:
@@ -188,7 +176,8 @@ def direct_check(cfg: ExperimentConfig) -> RateReport:
     ratios = [r.ratio for r in rows]
     pos = [r for r in ratios if r > 0.0]
     ok = all(math.isfinite(r) for r in ratios) and (not pos or pos[-1] / pos[0] <= DIRECT_GROWTH)
-    return _report(rows, _fit(cfg.n_values, ratios), max(ratios), ok, DIRECT_GROWTH)
+    return replace(_fit(cfg.n_values, ratios), rows=tuple(rows), max_ratio=max(ratios),
+                   verdict="pass" if ok else "fail", tolerance=DIRECT_GROWTH)
 
 
 def inverse_check(cfg: ExperimentConfig) -> RateReport:
@@ -219,7 +208,8 @@ def inverse_check(cfg: ExperimentConfig) -> RateReport:
     positive = min(seq) > 0.0 and all(map(math.isfinite, seq))
     spread = max(seq) / min(seq) if positive else math.inf
     ok = spread <= MAX_OVER_MIN and abs(fit.fitted_slope - a0) <= SLOPE_TOL
-    return _report(rows, fit, spread, ok, SLOPE_TOL)
+    return replace(fit, scale_name="n", rows=tuple(rows), max_ratio=spread,
+                   verdict="pass" if ok else "fail", tolerance=SLOPE_TOL)
 
 
 def _pow(base: np.ndarray, p: float) -> np.ndarray:
@@ -353,7 +343,7 @@ def _basis_lemmas(cfg, grid, f) -> dict:
     return seqs
 
 
-def _lemma3(cfg) -> LemmaResult:
+def _lemma3(cfg) -> dict:
     t_values = (0.125, 0.0625, 0.03125)
     seq = []
     for t in t_values:
@@ -364,16 +354,16 @@ def _lemma3(cfg) -> LemmaResult:
         )
         xs = [x for x in xs if t < x < 1.0 - t]
         seq.append(max(quadrature_bound_ratio(cfg.sw, t, x) for x in xs))
-    return _verdict("lemma3", {f"t in {t_values}:": seq})
+    return {f"t in {t_values}:": seq}
 
 
 def _lemma5(cfg, seq) -> LemmaResult:
-    """Decay verdict on the weighted window mass sequence."""
+    """Decay verdict on the weighted window mass sequence; a 0.0 (underflowed) mass raises."""
     if len(cfg.n_values) < 4:
         return LemmaResult("lemma5", "skip", None, "need >= 4 degrees for a slope fit")
     fit = fit_rate(list(zip(cfg.n_values, seq)), scale_name="n")
     bound = -cfg.params.alpha / 2.0 + 0.1
-    ok = fit.fitted_slope is not None and fit.fitted_slope <= bound
+    ok = fit.fitted_slope <= bound
     return LemmaResult(
         "lemma5",
         "pass" if ok else "fail",
@@ -382,12 +372,12 @@ def _lemma5(cfg, seq) -> LemmaResult:
     )
 
 
-def _lemmas78(cfg, grid, f) -> tuple[LemmaResult, LemmaResult]:
-    """Lemma 7 (weighted bridge error on [x1, x4] against the squared
-    local scale) and lemma 8 (weighted curvature of the spliced
-    function), both relative to the weighted second-derivative norm of
-    a function in W2phi with non-zero curvature (f, else quadratic),
-    over one pass of the degree sweep."""
+def _lemmas78(cfg, grid, f) -> dict:
+    """The labelled sequences, keyed by lemma, of lemma 7 (weighted
+    bridge error on [x1, x4] against the squared local scale) and lemma
+    8 (weighted curvature of the spliced function), both relative to the
+    weighted second-derivative norm of a function in W2phi with non-zero
+    curvature (f, else quadratic), over one pass of the degree sweep."""
     x = grid.points
     w2 = wbar(cfg.params, x) * step_weight(cfg.sw, x) ** 2
     curved = f.in_w2phi and f.d2 is not None and np.any(w2 * f.d2(x))
@@ -401,8 +391,7 @@ def _lemmas78(cfg, grid, f) -> tuple[LemmaResult, LemmaResult]:
         den = _scale_field(n, cfg.sw, xz) ** 2 * d2norm
         bridge.append(float(np.max(num / den)))
         curvature.append(float(np.max(w2 * np.abs(fbar_d2(g, k, x)))) / d2norm)
-    return (_verdict("lemma7", {f"{g.name}:": bridge}),
-            _verdict("lemma8", {f"{g.name}:": curvature}))
+    return {"lemma7": {f"{g.name}:": bridge}, "lemma8": {f"{g.name}:": curvature}}
 
 
 def lemma_suite(cfg: ExperimentConfig) -> dict[str, LemmaResult]:
@@ -417,14 +406,14 @@ def lemma_suite(cfg: ExperimentConfig) -> dict[str, LemmaResult]:
     f = corpus(cfg.function_name, cfg.params, cfg.alpha0)
     seqs = _basis_lemmas(cfg, grid, f)
     results = {"lemma5": _lemma5(cfg, seqs.pop("lemma5")["mass"])}
-    results.update((name, _verdict(name, s)) for name, s in seqs.items())
     # lemmas 3, 7 and 8 are stated for min(beta0, beta1) >= 1/2
     if cfg.sw.theorem_admissible:
-        results["lemma3"] = _lemma3(cfg)
-        results["lemma7"], results["lemma8"] = _lemmas78(cfg, grid, f)
+        seqs["lemma3"] = _lemma3(cfg)
+        seqs.update(_lemmas78(cfg, grid, f))
     else:
         for name in ("lemma3", "lemma7", "lemma8"):
             results[name] = LemmaResult(name, "skip", None, "min(beta0, beta1) >= 1/2 violated")
+    results.update((name, _verdict(name, s)) for name, s in seqs.items())
     return dict(sorted(results.items()))
 
 
@@ -434,11 +423,7 @@ def error_decay(cfg: ExperimentConfig) -> RateReport:
     f = corpus(cfg.function_name, cfg.params, cfg.alpha0)
     grid = cfg.make_grid()
     seq = [float(np.max(error_field(f, n, cfg.params, grid))) for n in cfg.n_values]
-    fit = _fit(cfg.n_values, seq)
-    if fit is not None:
-        return fit
-    rows = [RateRow(float(n), e, 0.0, 0.0) for n, e in zip(cfg.n_values, seq)]
-    return _report(rows, None, 0.0, all(map(math.isfinite, seq)), 0.0)
+    return _fit(cfg.n_values, seq)
 
 
 def operator_dump(cfg: ExperimentConfig) -> dict:

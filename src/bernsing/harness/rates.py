@@ -33,7 +33,7 @@ class RateReport:
     """One experiment's table plus its log-log fit and verdict.
 
     ``scale_name`` says what the scale column is ('n' or 't');
-    ``fitted_slope`` is None when the data was degenerate (all zeros)."""
+    ``fitted_slope`` is None when the data could not be fitted."""
 
     scale_name: str
     rows: tuple

@@ -108,7 +108,7 @@ _row = lru_cache(maxsize=1)(basis_row)
 
 def basis_value(n, k, x):
     """p_{n,k}(x) = C(n,k) x^k (1-x)^(n-k), evaluated in log space."""
-    n = _check_degree(n, 1)
+    n = _check_degree(n)
     if not 0 <= k <= n or int(k) != k:
         raise ValueError(f"index k must be an integer in 0..{n}, got {k!r}")
     return float(_row(n, x)[int(k)])
@@ -116,7 +116,7 @@ def basis_value(n, k, x):
 
 def central_moment_sum(n, gamma, x):
     """Sum_k p_{n,k}(x) |k - n x|^gamma."""
-    n = _check_degree(n, 1)
+    n = _check_degree(n)
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma!r}")
     # |k - n x|^gamma is 0**gamma at k = n x; this includes x in {0, 1}
@@ -129,7 +129,9 @@ def central_moment_sum(n, gamma, x):
 
 def inverse_moment_sum(n, u, v, x):
     """Sum over interior indices k = 1..n-1 of (k/n)^-u (1-k/n)^-v p_{n,k}(x)."""
-    n = _check_degree(n, 2)
+    n = _check_degree(n)
+    if n < 2:
+        raise ValueError(f"degree must be an integer >= 2, got {n!r}")
     if not 0.0 < x < 1.0:
         raise ValueError(f"abscissa must lie in (0,1), got {x!r}")
     if not (math.isfinite(u) and math.isfinite(v)) or u < 0 or v < 0:
@@ -140,14 +142,14 @@ def inverse_moment_sum(n, u, v, x):
 def an_sum(n, params, x):
     """wbar(x) times the basis mass of the indices within sqrt(n) of
     n*xi (the samples the bridge replaces)."""
-    n = _check_degree(n, 1)
+    n = _check_degree(n)
     klo, khi = _window(n, params.xi)
     return wbar(params, x) * float(_row(n, x)[klo : khi + 1].sum())
 
 
 def lemma6_sum(n, params, beta, x):
     """wbar(x) * sum over the same index window of |k - n x|^beta p_{n,k}(x)."""
-    n = _check_degree(n, 1)
+    n = _check_degree(n)
     if not math.isfinite(beta) or beta < 0:
         raise ValueError(f"beta must be finite and non-negative, got {beta!r}")
     klo, khi = _window(n, params.xi)

@@ -173,6 +173,14 @@ class TestExitCodes:
         assert report["fitted_slope"] is None
         assert report["verdict"] == "pass"
 
+    def test_lemmas_too_short_to_fit(self, capsys):
+        # two degrees give lemma 5 no slope to fit: its row is a skip, and
+        # a skip is not a failure
+        assert run_cli(["lemmas", "--xi", "0.5", "--alpha", "1", "--n", "64:128"]) == 0
+        out, err = capsys.readouterr()
+        assert "lemma5,skip,,need >= 4 degrees for a slope fit\n" in out
+        assert err == ""
+
     def test_inverse_too_few_t_values_fails_first(self, monkeypatch, capsys):
         # the modulus fit needs 4 scales; 3 are rejected before the curve
         from bernsing.harness import checks
@@ -269,6 +277,60 @@ class TestDeterminism:
         assert lines[0] == "n,measured,reference,ratio"
         assert len(lines) == 6  # header + 4 rows + trailing LF
         assert "\r" not in text
+
+
+class TestReportFields:
+    """The fields each check sets on its JSON report, beyond the rows."""
+
+    @staticmethod
+    def _json(capsys, args):
+        assert run_cli(args + ["--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_direct_fit_of_the_ratios(self, capsys):
+        from bernsing.harness.rates import fit_rate
+
+        report = self._json(capsys, ["direct", *BASE, "--function", "quadratic"])
+        rows = report["rows"]
+        assert [r["scale"] for r in rows] == [64.0, 128.0, 256.0, 512.0, 1024.0]
+        assert report["scale_name"] == "n"
+        assert report["tolerance"] == 2.0
+        assert report["verdict"] == "pass"
+        assert report["max_ratio"] == max(r["ratio"] for r in rows)
+        fit = fit_rate([(r["scale"], r["ratio"]) for r in rows], scale_name="n")
+        assert report["fitted_slope"] == fit.fitted_slope
+        assert report["slope_stderr"] == fit.slope_stderr
+        assert report["residuals"] == list(fit.residuals)
+
+    def test_direct_too_short_to_fit(self, capsys):
+        report = self._json(capsys, ["direct", *BASE, "--function", "quadratic", "--n", "64:128"])
+        assert len(report["rows"]) == 2
+        assert report["fitted_slope"] is None
+        assert report["slope_stderr"] is None
+        assert report["residuals"] == []
+        assert report["tolerance"] == 2.0
+
+    def test_inverse_modulus_fit_and_error_spread(self, capsys, params, sw, grid):
+        from bernsing.harness import corpus
+        from bernsing.harness.config import DEFAULT_T_VALUES
+        from bernsing.harness.rates import fit_rate
+        from bernsing.moduli import ModulusConfig, modulus_curve
+
+        report = self._json(capsys, ["inverse", *BASE, "--function", "inner-cusp",
+                                     "--alpha0", "1.5"])
+        measured = [r["measured"] for r in report["rows"]]
+        assert len(measured) == 5
+        # the rows are over n, the slope fields over t
+        assert report["scale_name"] == "n"
+        assert report["tolerance"] == 0.15
+        assert report["max_ratio"] == max(measured) / min(measured)
+        f = corpus("inner-cusp", params, 1.5)
+        curve = modulus_curve(f, params, sw, ModulusConfig(x_grid=grid, t_values=DEFAULT_T_VALUES))
+        fit = fit_rate(list(zip(DEFAULT_T_VALUES, curve)), scale_name="t")
+        assert report["fitted_slope"] == fit.fitted_slope
+        assert report["slope_stderr"] == fit.slope_stderr
+        assert report["residuals"] == list(fit.residuals)
+        assert abs(fit.fitted_slope - 1.5) <= 0.15
 
 
 class TestConfigFile:

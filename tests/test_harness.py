@@ -392,6 +392,19 @@ class TestLemmaSuiteOneSweep:
         assert calls == list(cfg.n_values)
 
 
+class TestLemma5:
+    def test_zero_mass_is_not_a_skip(self, params):
+        # wbar underflows the window mass to 0.0 at a large alpha (500 at
+        # n = 1024); that is no missing degree, and fit_rate rejects it
+        cfg = _cfg(params, StepWeight(0.5, 0.5), n_values=(64, 128, 256, 512))
+        with pytest.raises(ValueError, match="positive"):
+            checks._lemma5(cfg, [1e-3, 1e-4, 0.0, 1e-6])
+
+    def test_too_few_degrees_skip(self, params, sw):
+        got = checks._lemma5(_cfg(params, sw, n_values=(64, 128, 256)), [1e-3, 0.0, 1e-5])
+        assert (got.verdict, got.constant) == ("skip", None)
+
+
 class TestDirectCheck:
     def test_affine_all_zero_passes(self, params, sw):
         rep = direct_check(_cfg(params, sw, function_name="affine", n_values=(64, 128, 256)))
