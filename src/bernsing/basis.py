@@ -74,11 +74,6 @@ def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
     return _ln_fact[n] - _ln_fact[k] - _ln_fact[n - k]
 
 
-# Values per lemma-sweep block: it pins the size of those blocks and the
-# block shape that lemma 2's gemv `block @ samples` sees, on which the
-# last bits of its values depend; the rows per block follow the full
-# index width though only the bands are assembled.
-_BLOCK_VALUES = 1_000_000
 _TILE_VALUES = 1 << 15  # about the values per tile of a block's assembly
 
 # The band of x at exponent R is [floor(n x - t), ceil(n x + t)] within
@@ -133,23 +128,23 @@ def _bands(n: int, x: np.ndarray, exponent: float) -> tuple[np.ndarray, np.ndarr
     return lo.astype(int), hi.astype(int)
 
 
-def _blocks(n: int, x: np.ndarray, exponent: float = _ROW_EXPONENT):
-    """Yield (rows, block) with block[i, k] = p_{n,k}(x[rows][i]) for
-    k = 0..n inside the row's band at the exponent (_bands) and 0.0
-    outside it.
+def _blocks(n: int, x: np.ndarray, exponent: float, out: np.ndarray) -> np.ndarray:
+    """Fill out[:x.size] with block[i, k] = p_{n,k}(x[i]) for k = 0..n
+    inside the row's band at the exponent (_bands) and 0.0 outside it,
+    and return that view.
 
-    x is a 1-d float64 array in [0,1].  Rows come _BLOCK_VALUES values
-    at a time, and every block is written into one output array, so a
-    block is only valid until the next one is requested.  With 0**0 = 1 the
-    rows at x = 0 and x = 1 are unit vectors.  A caller that needs some
-    indices only slices the columns: an entry does not depend on them.
+    x is a 1-d float64 array in [0,1] and out a float64 array of at least
+    x.size rows and n + 1 columns.  With 0**0 = 1 the rows at x = 0 and
+    x = 1 are unit vectors.  A caller that needs some indices only slices
+    the columns: an entry does not depend on them.
 
-    A block is assembled a tile of rows at a time, each between the lowest
-    band start and the highest band end of its rows; the union of all the
-    bands sizes the tiles.  Every entry is computed as in a full-width
-    block, and after exp every entry outside its own row's band is set to
-    0.0, so no bit depends on how the rows are tiled.  At _ROW_EXPONENT
-    that is the full-width block itself.
+    The block is assembled a tile of rows at a time, each between the
+    lowest band start and the highest band end of its rows; the union of
+    all the bands sizes the tiles.  Every entry is computed as in a
+    full-width block, and after exp every entry outside its own row's
+    band is set to 0.0, so no bit depends on how the rows are tiled or
+    which rows share a call.  At _ROW_EXPONENT that is the full-width
+    block itself.
     """
     k = np.arange(n + 1, dtype=_LD)
     nk = n - k
@@ -164,43 +159,37 @@ def _blocks(n: int, x: np.ndarray, exponent: float = _ROW_EXPONENT):
     width = max(l1) - min(l0)
     tile = max(1, _TILE_VALUES // width)
     buf = np.empty((2, min(tile, x.size) * width), _LD)
-    step = max(1, _BLOCK_VALUES // k.size)
-    out = np.empty((min(step, x.size), k.size))
-    for a in range(0, x.size, step):
-        rows = slice(a, min(a + step, x.size))
-        xb, b0, b1 = x[rows], j0[rows], j1[rows]
-        o = out[: xb.size]
-        xl = xb.astype(_LD)
-        # log 0 and 0 * -inf at x = 0 and 1 (fixed below), and exp
-        # underflow to 0.0 near the band edges, as it may
-        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-            for b in range(0, xb.size, tile):
-                s = slice(b, min(b + tile, xb.size))
-                t0, t1 = l0[a + s.start : a + s.stop], l1[a + s.start : a + s.stop]
-                c0, e0, e1, c1 = min(t0), max(t0), min(t1), max(t1)
-                o[s, :c0] = o[s, c1:] = 0.0
-                # the exponent in four longdouble passes, in contiguous
-                # buffers (strided views cost numpy a cast buffer), then
-                # the cast and exp
-                v = o[s, c0:c1]
-                er, tr = buf[:, : v.size].reshape(2, *v.shape)
-                np.multiply(np.log(xl[s])[:, None], k[c0:c1], out=er)
-                np.add(lrow[c0:c1], er, out=er)
-                np.multiply(np.log1p(-xl[s])[:, None], nk[c0:c1], out=tr)
-                np.add(er, tr, out=er)
-                v[...] = er
-                np.exp(v, out=v)
-                # then 0.0 outside each row's own band: only the columns
-                # before the last band start and from the first band end on
-                if e0 > c0:
-                    np.copyto(v[:, : e0 - c0], 0.0, where=np.arange(c0, e0) < b0[s, None])
-                if e1 < c1:
-                    np.copyto(v[:, e1 - c0 :], 0.0, where=np.arange(e1, c1) >= b1[s, None])
-        # the log-space form leaves 0 * -inf = NaN where 0**0 = 1 is
-        # meant; every other entry of an endpoint row is exp(-inf) = 0
-        o[xb == 0.0, 0] = 1.0
-        o[xb == 1.0, -1] = 1.0
-        yield rows, o
+    o = out[: x.size]
+    xl = x.astype(_LD)
+    # log 0 and 0 * -inf at x = 0 and 1 (fixed below), and exp
+    # underflow to 0.0 near the band edges, as it may
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        for b in range(0, x.size, tile):
+            s = slice(b, min(b + tile, x.size))
+            c0, e0, e1, c1 = min(l0[s]), max(l0[s]), min(l1[s]), max(l1[s])
+            o[s, :c0] = o[s, c1:] = 0.0
+            # the exponent in four longdouble passes, in contiguous
+            # buffers (strided views cost numpy a cast buffer), then
+            # the cast and exp
+            v = o[s, c0:c1]
+            er, tr = buf[:, : v.size].reshape(2, *v.shape)
+            np.multiply(np.log(xl[s])[:, None], k[c0:c1], out=er)
+            np.add(lrow[c0:c1], er, out=er)
+            np.multiply(np.log1p(-xl[s])[:, None], nk[c0:c1], out=tr)
+            np.add(er, tr, out=er)
+            v[...] = er
+            np.exp(v, out=v)
+            # then 0.0 outside each row's own band: only the columns
+            # before the last band start and from the first band end on
+            if e0 > c0:
+                np.copyto(v[:, : e0 - c0], 0.0, where=np.arange(c0, e0) < j0[s, None])
+            if e1 < c1:
+                np.copyto(v[:, e1 - c0 :], 0.0, where=np.arange(e1, c1) >= j1[s, None])
+    # the log-space form leaves 0 * -inf = NaN where 0**0 = 1 is
+    # meant; every other entry of an endpoint row is exp(-inf) = 0
+    o[x == 0.0, 0] = 1.0
+    o[x == 1.0, -1] = 1.0
+    return o
 
 
 def _inverse_weights(n: int, u: float, v: float) -> np.ndarray:
@@ -211,7 +200,8 @@ def _inverse_weights(n: int, u: float, v: float) -> np.ndarray:
 
 def basis_row(n: int, x: float) -> np.ndarray:
     """p_{n,k}(x) for k = 0..n as a read-only array (non-negative, sums to 1)."""
-    w = next(_blocks(_check_degree(n), _check_x([x])))[1][0]
+    n = _check_degree(n)
+    w = _blocks(n, _check_x([x]), _ROW_EXPONENT, np.empty((1, n + 1)))[0]
     w.flags.writeable = False
     return w
 

@@ -223,17 +223,6 @@ def _pow(base: np.ndarray, p: float) -> np.ndarray:
     return np.array([b**p for b in base.tolist()])
 
 
-def _term_max(n: int, rows: slice, block, labels, span: slice, term) -> np.ndarray:
-    """Max per label of term over the block rows inside span (-inf
-    where there are none)."""
-    lo, hi = max(rows.start, span.start), min(rows.stop, span.stop)
-    if lo >= hi:
-        return np.full(len(labels), -math.inf)
-    part = block[lo - rows.start : hi - rows.start]
-    return np.reshape(term(n, slice(lo - span.start, hi - span.start), part),
-                      (len(labels), -1)).max(axis=1)
-
-
 # The lemma sweep's blocks hold each row's Bernstein band at this
 # exponent (basis._bands) and 0.0 outside it.  The row mass left out is at
 # most 2 e^-100 ~ 7.4e-44; times the largest factor a lemma applies to an
@@ -241,26 +230,39 @@ def _term_max(n: int, rows: slice, block, labels, span: slice, term) -> np.ndarr
 # some 27 orders below the last bit of any lemma constant.
 _SWEEP_EXPONENT = 100.0
 
+# Values per lemma-sweep block: the sweep cuts the grid into chunks of
+# _BLOCK_VALUES // (n + 1) rows, at least one, and this pins the block
+# shape that lemma 2's gemv `block @ samples` sees, on which the last bits
+# of its values depend.
+_BLOCK_VALUES = 1_000_000
+
 
 def _sweep(cfg, x, terms: list) -> dict:
     """Grid max per degree of every labelled term, one sequence over
     cfg.n_values per label.
 
-    For each n the basis block over all indices 0..n at the abscissae x
-    is built once, each row on its band at _SWEEP_EXPONENT.  A term is
+    For each n the basis block over all indices 0..n is built chunk by
+    chunk of the abscissae x, each row on its band at _SWEEP_EXPONENT,
+    into one buffer that serves the whole sweep.  A term is
     (labels, span, fn): span is the slice of x it reads, and fn maps
     (n, rows, block) to one value per block row and label, where rows
     indexes x[span] and the block's columns are the indices 0..n; fn
     slices the indices its lemma sums over.
     """
     labels = [label for t in terms for label in t[0]]
-    best = np.empty((len(labels), len(cfg.n_values)))
-    for j, n in enumerate(cfg.n_values):
-        # no block outlives the comprehension, so the output block of
-        # degree n is freed before that of the next degree is allocated
-        best[:, j] = np.max([np.concatenate([_term_max(n, rows, block, *t) for t in terms])
-                             for rows, block in _blocks(n, x, exponent=_SWEEP_EXPONENT)],
-                            axis=0)
+    at = np.cumsum([0] + [len(t[0]) for t in terms])
+    best = np.full((len(labels), len(cfg.n_values)), -math.inf)
+    rows = [min(max(1, _BLOCK_VALUES // (n + 1)), x.size) for n in cfg.n_values]
+    buf = np.empty(max(m * (n + 1) for n, m in zip(cfg.n_values, rows)))
+    for j, (n, m) in enumerate(zip(cfg.n_values, rows)):
+        for a in range(0, x.size, m):
+            block = _blocks(n, x[a : a + m], _SWEEP_EXPONENT, buf[: m * (n + 1)].reshape(m, n + 1))
+            for (names, span, term), i in zip(terms, at):
+                lo, hi = max(a, span.start), min(a + m, span.stop)
+                if lo < hi:
+                    got = term(n, slice(lo - span.start, hi - span.start), block[lo - a : hi - a])
+                    top = best[i : i + len(names), j]
+                    np.maximum(top, np.reshape(got, (len(names), -1)).max(axis=1), out=top)
     return dict(zip(labels, best.tolist()))
 
 
@@ -301,6 +303,11 @@ def _basis_lemmas(cfg, grid, f) -> dict:
     gammas, betas = (1.0, 2.0, 3.0), (1.0, 2.0)  # of lemmas 4 and 6
     near = {n: _window(n, cfg.params.xi) for n in cfg.n_values}  # of lemmas 5 and 6
     den, wbi = {g: _pow(phi, g) for g in gammas}, wb[inner]  # betas are gammas too
+    # lemma 6's bound n^((beta - alpha)/2) phi^beta underflows at a large alpha
+    for n in cfg.n_values:
+        if any(n ** ((b - a) / 2) * np.min(den[b], initial=math.inf) == 0.0 for b in betas):
+            raise ValueError(f"lemma 6: the bound n^((beta - alpha)/2) phi^beta underflows "
+                             f"to 0.0 at n={n}, alpha={a:g}")
 
     def moments(n, rows, block):
         """Lemma 4 over 0..n and lemma 6 near xi from one table d = |k - n x|
@@ -361,6 +368,10 @@ def _lemma5(cfg, seq) -> LemmaResult:
     """Decay verdict on the weighted window mass sequence; a 0.0 (underflowed) mass raises."""
     if len(cfg.n_values) < 4:
         return LemmaResult("lemma5", "skip", None, "need >= 4 degrees for a slope fit")
+    for n, mass in zip(cfg.n_values, seq):
+        if not mass > 0.0:
+            raise ValueError(f"lemma 5: the weighted window mass is {mass!r} at n={n}, "
+                             f"alpha={cfg.params.alpha:g}; its slope fit needs positive values")
     fit = fit_rate(list(zip(cfg.n_values, seq)), scale_name="n")
     bound = -cfg.params.alpha / 2.0 + 0.1
     ok = fit.fitted_slope <= bound

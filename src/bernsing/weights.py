@@ -81,7 +81,7 @@ def step_weight(sw: StepWeight, x):
 
 def varphi(x):
     """sqrt(x (1-x)), the natural Bernstein step scale."""
-    xs = np.asarray(x, dtype=float)
+    xs = _check_x(x)
     val = np.sqrt(xs * (1.0 - xs))
     return float(val) if np.ndim(x) == 0 else val
 

@@ -15,7 +15,6 @@ import pytest
 
 from bernsing import basis
 from bernsing.basis import (
-    _BLOCK_VALUES,
     _ROW_EXPONENT,
     _bands,
     _blocks,
@@ -38,6 +37,16 @@ from oracles import (
     naive_basis,
     naive_row,
 )
+
+
+def _block(n, xs, exponent=_ROW_EXPONENT):
+    """_blocks into a NaN-filled buffer one row longer than xs: the block
+    is the buffer's first xs.size rows, and the row after them stays NaN."""
+    out = np.full((xs.size + 1, n + 1), np.nan)
+    got = _blocks(n, xs, exponent, out)
+    assert got.shape == (xs.size, n + 1) and np.shares_memory(got, out)
+    assert np.isnan(out[-1]).all()
+    return got
 
 
 class TestBasisValue:
@@ -354,8 +363,7 @@ class TestExactZeroWindow:
     def test_equals_full_width(self, n):
         xs = self._abscissae()
         want = full_width_block(n, xs, 0, n)
-        got = np.concatenate([b.copy() for _, b in _blocks(n, xs)])
-        assert (got == want).all()
+        assert (_block(n, xs) == want).all()
         for x, row in zip(xs, want):
             assert (basis_row(n, x) == row).all(), x
 
@@ -393,8 +401,7 @@ class TestExactZeroWindow:
             lo, hi = _bands(n, x, _ROW_EXPONENT)
             k = np.arange(n + 1)
             assert (want[(k < lo[:, None]) | (k > hi[:, None])] == 0.0).all()
-            got = np.concatenate([b.copy() for _, b in _blocks(n, x)])
-            assert (got == want).all()
+            assert (_block(n, x) == want).all()
 
 
 class TestSweepBands:
@@ -414,8 +421,7 @@ class TestSweepBands:
         want = np.where(inside, full_width_block(n, xs, 0, n), 0.0).view(np.uint64)
         for tile in (1, 3, 7):
             monkeypatch.setattr(basis, "_TILE_VALUES", tile * (n + 1))
-            got = np.concatenate([b.copy() for _, b in
-                                  _blocks(n, xs, exponent=_SWEEP_EXPONENT)])
+            got = _block(n, xs, _SWEEP_EXPONENT)
             assert (got.view(np.uint64) == want).all(), tile
 
     @pytest.mark.parametrize("n", [64, 1024, 16384])
@@ -505,15 +511,16 @@ class TestBandedApply:
             assert (got.view(np.uint64) == want[perm].view(np.uint64)).all()
 
 
-class TestRowSplit:
-    # _blocks cuts each block's rows into tiles, one after another on
-    # the calling thread.  Every entry sees the same operations however
-    # the rows are cut, so any tile size must give the full-width bits.
+class TestBlockTiles:
+    # _blocks cuts a block's rows into tiles, one after another on the
+    # calling thread.  Every entry sees the same operations however the
+    # rows are cut, so any tile size must give the full-width bits.
 
     @staticmethod
     def _abscissae(n):
-        # one whole block, x = 0 in its first tile and x = 1 in its last
-        rows = _BLOCK_VALUES // (n + 1)
+        # about 2^16 values (at least 15 rows), x = 0 in the first tile
+        # and x = 1 in the last
+        rows = max(15, (1 << 16) // (n + 1))
         return np.concatenate([[0.0], np.linspace(0.3, 0.7, rows - 2), [1.0]])
 
     @pytest.mark.parametrize("n", [1024, 16384, 65536])
@@ -525,9 +532,7 @@ class TestRowSplit:
         xs = self._abscissae(n)
         want = full_width_block(n, xs, 0, n).view(np.uint64)
         monkeypatch.setattr(basis, "_TILE_VALUES", tile * (n + 1))
-        (rows, got), = _blocks(n, xs)
-        assert rows == slice(0, xs.size)
-        assert (got.view(np.uint64) == want).all()
+        assert (_block(n, xs).view(np.uint64) == want).all()
 
     @pytest.mark.parametrize("calls", [1, 2])
     def test_apply_peak_memory_is_its_tables_and_a_tile(self, calls, grid):
@@ -561,7 +566,7 @@ class TestRowSplit:
         n, xs = 16384, self._abscissae(16384)
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("error")
-            (_, got), = _blocks(n, xs)
+            got = _block(n, xs)
             # and the operator sum, at x = 1e-300 among others, where
             # powers and anchors underflow
             bernstein_apply(np.ones(n + 1), np.append(xs, TestExactZeroWindow.EDGE_X))
@@ -569,18 +574,16 @@ class TestRowSplit:
 
     @pytest.mark.parametrize("n", [1024, 16384, 65536])
     def test_mixed_tiles_give_the_full_width_bits(self, n, monkeypatch):
-        # one whole block of endpoint-cluster and mid-grid rows in no
-        # order: a tile spans from the lowest band start to the highest
-        # band end of its rows, which are rarely its first and last rows.
-        # x = 0 and x = 1 stretch the bands' union over 0..n, so
+        # endpoint-cluster and mid-grid rows in no order: a tile spans
+        # from the lowest band start to the highest band end of its rows,
+        # which are rarely its first and last rows.  x = 0 and x = 1
+        # stretch the bands' union over 0..n, so
         # _TILE_VALUES = tile * (n + 1) makes tiles of `tile` rows.
-        xs = np.resize(TestExactZeroWindow._mixed(), _BLOCK_VALUES // (n + 1))
+        xs = TestExactZeroWindow._mixed()
         want = full_width_block(n, xs, 0, n).view(np.uint64)
         for tile in (1, 3, 7):
             monkeypatch.setattr(basis, "_TILE_VALUES", tile * (n + 1))
-            (rows, got), = _blocks(n, xs)
-            assert rows == slice(0, xs.size)
-            assert (got.view(np.uint64) == want).all(), tile
+            assert (_block(n, xs).view(np.uint64) == want).all(), tile
 
     def test_apply_exponentiates_one_anchor_per_abscissa(self, grid, monkeypatch):
         # values handed to exp on the refined grid at n = 16384: one

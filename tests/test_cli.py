@@ -145,6 +145,20 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert all(f" {name}=" in err for name in ("t", "x", "beta0", "beta1"))
 
+    @pytest.mark.parametrize("alpha, n", [("300", 256), ("500", 64)])
+    def test_underflowing_lemma6_bound_is_one_error_line(self, alpha, n, capsys):
+        # lemma 6's bound n^((beta - alpha)/2) phi^beta underflows to 0.0,
+        # from n = 256 at alpha = 300 and from n = 64 at 500, where lemma
+        # 5's window mass underflows too: it is checked before the sweep
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["lemmas", "--xi", "0.5", "--alpha", alpha, "--function", "quadratic",
+                            "--grid", "1025"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("error: lemma 6: the bound n^((beta - alpha)/2) phi^beta underflows "
+                       f"to 0.0 at n={n}, alpha={alpha}\n")
+
     def test_vanishing_modulus_is_a_failed_check(self, monkeypatch, capsys):
         # a modulus that vanishes where the error does not makes direct_check
         # raise Degenerate, which the CLI reports as a failed check

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -236,7 +237,8 @@ class TestLemmaSuite:
 
 
 class _Rows:
-    """A row-group budget of `rows` rows at every degree."""
+    """A row budget, of a row group or a sweep chunk, of `rows` rows at
+    every degree."""
 
     def __init__(self, rows):
         self.rows = rows
@@ -271,9 +273,9 @@ class TestLemmaSweepsMatchScalarSums:
         seqs = {key: [[] for _ in values] for key, (_, values) in lemmas.items()}
         seq5, calls, blocks = [], [], basis._blocks
 
-        def counting(n, x, **kw):
+        def counting(n, *args):
             calls.append(n)
-            return blocks(n, x, **kw)
+            return blocks(n, *args)
 
         x = cfg.make_grid().points.tolist()
         with pytest.MonkeyPatch.context() as mp:
@@ -319,9 +321,11 @@ class TestLemmaSweepsMatchScalarSums:
         assert results["lemma5"].constant == slope
         # lemma 2's max sits at x = 1 for inner-root, inside (0, 1) for
         # smooth-bump.  Lemma 2 sums each block row by the block's gemv:
-        # the same gemv over _blocks gives its bits, and the operator sum,
-        # which adds in another order, agrees to 1e-13 relative
-        w = wbar(params, grid.points)
+        # the same gemv over _blocks, in the sweep's chunks of
+        # checks._BLOCK_VALUES // (n + 1) rows, gives its bits, and the
+        # operator sum, which adds in another order, agrees to 1e-13
+        # relative
+        x, w = grid.points, wbar(params, grid.points)
         suites = {cfg.function_name: results,
                   "smooth-bump": lemma_suite(replace(cfg, function_name="smooth-bump"))}
         for name, res in suites.items():
@@ -330,8 +334,12 @@ class TestLemmaSweepsMatchScalarSums:
             seq2, applied = [], []
             for n in cfg.n_values:
                 op = build_operator(f, n, params)
-                seq2.append(max(float(np.max(w[rows] * np.abs(block @ op.fbar_samples) / nwf))
-                                for rows, block in _blocks(n, grid.points)))
+                m = min(max(1, checks._BLOCK_VALUES // (n + 1)), x.size)
+                chunks = []
+                for a in range(0, x.size, m):
+                    block = _blocks(n, x[a : a + m], basis._ROW_EXPONENT, np.empty((m, n + 1)))
+                    chunks.append(float(np.max(w[a : a + m] * np.abs(block @ op.fbar_samples) / nwf)))
+                seq2.append(max(chunks))
                 applied.append(float(np.max(w * np.abs(bbar_apply(op, grid.points)))) / nwf)
             assert res["lemma2"].constant == max(seq2), name
             assert res["lemma2"].constant == pytest.approx(max(applied), rel=1e-13, abs=0.0), name
@@ -381,9 +389,9 @@ class TestLemmaSuiteOneSweep:
         # the kernel through, is one block pass per degree
         calls = []
 
-        def counting(n, x, **kw):
+        def counting(n, *args):
             calls.append(n)
-            return _blocks(n, x, **kw)
+            return _blocks(n, *args)
 
         monkeypatch.setattr(basis, "_blocks", counting)
         monkeypatch.setattr(checks, "_blocks", counting)
@@ -391,14 +399,42 @@ class TestLemmaSuiteOneSweep:
         lemma_suite(cfg)
         assert calls == list(cfg.n_values)
 
+    def test_peak_memory_is_one_block_buffer(self, params, sw):
+        # the default sweep writes every degree's chunks into one buffer
+        # of at most _BLOCK_VALUES float64 values (7.6 MiB): measured peak
+        # 9.5 MiB with the grid, the tables and the tile buffers.  A
+        # buffer per degree or per chunk is still alive when the next one
+        # is allocated, which adds another 7.6 MiB
+        tracemalloc.start()
+        try:
+            lemma_suite(ExperimentConfig(params=params, sw=sw))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * checks._BLOCK_VALUES, peak
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_any_chunk_gives_the_same_bits(self, params, sw, rows, monkeypatch):
+        # lemmas 1, 4, 5 and 6 read each block row on its own, so chunks
+        # of 1 and 7 rows keep their bits; lemma 2's gemv sums a row in an
+        # order set by the chunk's shape, which _BLOCK_VALUES pins
+        cfg = _cfg(params, sw, n_values=(64, 128, 256, 512), grid_density=513)
+        want = lemma_suite(cfg)
+        monkeypatch.setattr(checks, "_BLOCK_VALUES", _Rows(rows))
+        got = lemma_suite(cfg)
+        for key in ("lemma1", "lemma4", "lemma5", "lemma6"):
+            assert got[key].constant.hex() == want[key].constant.hex(), key
+            assert got[key] == want[key], key
+
 
 class TestLemma5:
     def test_zero_mass_is_not_a_skip(self, params):
         # wbar underflows the window mass to 0.0 at a large alpha (500 at
         # n = 1024); that is no missing degree, and fit_rate rejects it
         cfg = _cfg(params, StepWeight(0.5, 0.5), n_values=(64, 128, 256, 512))
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match="positive") as e:
             checks._lemma5(cfg, [1e-3, 1e-4, 0.0, 1e-6])
+        assert str(e.value).startswith("lemma 5: the weighted window mass is 0.0 at n=256, alpha=1;")
 
     def test_too_few_degrees_skip(self, params, sw):
         got = checks._lemma5(_cfg(params, sw, n_values=(64, 128, 256)), [1e-3, 0.0, 1e-5])

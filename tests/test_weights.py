@@ -91,6 +91,14 @@ class TestVarphiDelta:
         assert delta_n(100, 0.5) == pytest.approx(0.6, abs=1e-15)
         assert delta_n(4, 0.5) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan])
+    def test_domain(self, bad):
+        # outside [0,1], and at NaN, sqrt(x (1-x)) would be a silent NaN
+        for x in (bad, np.array([0.25, bad, 0.75])):
+            for scale in (varphi, lambda t: delta_n(64, t)):
+                with pytest.raises(ValueError, match=rf"abscissa must lie in \[0,1\], got .*{bad!r}"):
+                    scale(x)
+
     def test_delta_monotone_and_floor(self, rng):
         xs = rng.uniform(0, 1, 50)
         prev = delta_n(4, xs)
