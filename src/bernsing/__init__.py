@@ -6,8 +6,8 @@ verification harness with a CLI."""
 import os
 
 # One OpenBLAS thread unless the user chose otherwise.  The BLAS calls
-# are small (a gemv per lemma-sweep block and per quadrature ratio, a
-# gemm with K = 32 per tile of the operator sum, dot products of rows),
+# are small (a gemv per quadrature ratio, a gemm with K = 32 per tile of
+# the operator sum, dot products of rows),
 # so a second BLAS thread only spins between them, and the last bits of
 # a gemv depend on the thread count.  No code of the package starts a
 # thread.  This must run before numpy is imported; where numpy was

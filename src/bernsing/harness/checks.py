@@ -109,12 +109,10 @@ _TABLE_H_STEPS = 12
 _TABLE_T_POINTS = 24
 
 
-def _tabulated_modulus(f, params, sw, grid, scales):
-    """Monotone log-log interpolant of the modulus curve covering the
-    given scales (clipped into (0, T_MAX])."""
-    lo = max(min(float(s.min()) for s in scales) * 0.999, 1e-8)
-    lo = min(lo, T_MAX)
+def _tabulated_modulus(f, params, sw, grid, smallest):
+    """Monotone log-log interpolant of the modulus curve from the smallest scale to T_MAX."""
     # every scale clipped to T_MAX leaves a one-point table
+    lo = min(max(smallest * 0.999, 1e-8), T_MAX)
     tt = _distinct(np.geomspace(lo, T_MAX, _TABLE_T_POINTS))
     cfg = ModulusConfig(x_grid=grid, t_values=tuple(tt), h_steps=_TABLE_H_STEPS)
     curve = modulus_curve(f, params, sw, cfg)
@@ -151,11 +149,14 @@ def direct_check(cfg: ExperimentConfig) -> RateReport:
     finite and does not grow (last/first <= 2); points where both
     sides vanish are skipped, and a vanishing modulus under a
     non-vanishing error is an inconsistency reported as Degenerate.
+    So is a ratio whose sup sits at a local scale that the modulus lookup
+    clips to T_MAX, unless it clips all: then every ratio is against omega(T_MAX).
     """
     f, grid = _theorem_setup(cfg, "direct_check")
     x = grid.points
     scales = {n: _scale_field(n, cfg.sw, x) for n in cfg.n_values}
-    lookup = _tabulated_modulus(f, cfg.params, cfg.sw, grid, list(scales.values()))
+    smallest = min(float(s.min()) for s in scales.values())
+    lookup = _tabulated_modulus(f, cfg.params, cfg.sw, grid, smallest)
     atol = 1e-11 * max(1.0, weighted_sup_norm(f, cfg.params, grid))
     rows = []
     for n in cfg.n_values:
@@ -170,6 +171,9 @@ def direct_check(cfg: ExperimentConfig) -> RateReport:
         if live.size:
             q = err[live] / mod[live]
             i = int(np.argmax(q))
+            if scales[n][live[i]] > T_MAX >= smallest:
+                raise Degenerate(f"the ratio's sup at x={x[live[i]]:.6g} (n={n}) has the local "
+                                 f"scale {scales[n][live[i]]:.3g}, clipped to T_MAX={T_MAX}")
             rows.append(RateRow(float(n), float(err[live[i]]), float(mod[live[i]]), float(q[i])))
         else:
             rows.append(RateRow(float(n), 0.0, 0.0, 0.0))
@@ -230,11 +234,9 @@ def _pow(base: np.ndarray, p: float) -> np.ndarray:
 # some 27 orders below the last bit of any lemma constant.
 _SWEEP_EXPONENT = 100.0
 
-# Values per lemma-sweep block: the sweep cuts the grid into chunks of
-# _BLOCK_VALUES // (n + 1) rows, at least one, and this pins the block
-# shape that lemma 2's gemv `block @ samples` sees, on which the last bits
-# of its values depend.
-_BLOCK_VALUES = 1_000_000
+# Values per lemma-sweep chunk (1 MiB), a memory budget: every term reads each
+# block row on its own.  Chunks of 2^15 values make the sweep about 10% slower.
+_BLOCK_VALUES = 1 << 17
 
 
 def _sweep(cfg, x, terms: list) -> dict:
@@ -275,10 +277,8 @@ def _verdict(name: str, seqs: dict) -> LemmaResult:
     return LemmaResult(name, "pass" if ok else "fail", max(map(max, seqs.values())), detail)
 
 
-# values per |k - n x| table in the moment term (31 rows at n = 1024).  A
-# fresh `lemmas --xi 0.5 --alpha 1` peaks at 42.3-42.4 MiB RSS (medians of 5,
-# 2 vCPU, numpy 2.4), within 16-row tables' 42.2-42.6, and at 42.9 with d and
-# its powers held at once.  A row's dot product reads only that row: no bit moves.
+# values per |k - n x| table in the moment term (31 rows at n = 1024), a
+# quarter of a sweep chunk.  A row's dot product reads only that row: no bit moves.
 _GROUP_VALUES = 1 << 15
 
 
@@ -339,7 +339,7 @@ def _basis_lemmas(cfg, grid, f) -> dict:
     terms = [([("lemma1", f"(u={u:g},v={v:g})")], inner, inverse(u, v))
              for u, v in ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0))]
     terms.append(([("lemma2", f"{f.name}:")], whole,
-                  lambda n, rows, block: w[rows] * np.abs(block @ samples[n]) / nwf))
+                  lambda n, rows, block: w[rows] * np.abs(np.vecdot(block, samples[n])) / nwf))
     terms.append(([("lemma4", f"gamma={g:g}") for g in gammas]
                   + [("lemma6", f"beta={b:g}") for b in betas], inner, moments))
     terms.append(([("lemma5", "mass")], whole,

@@ -171,6 +171,18 @@ class TestExitCodes:
         assert err.startswith("check failed: modulus vanishes at x=")
         assert err.count("\n") == 1
 
+    def test_direct_sup_at_a_clipped_scale_is_a_failed_check(self, capsys):
+        # at beta0 = 150 the step weight x^150 (1-x)^0.5 is below 1e-40 for
+        # x < 0.54, where the local scale reaches 1e52-6e63; the modulus
+        # lookup clips it to T_MAX, and the ratio's sup sits there
+        args = ["direct", "--xi", "0.5", "--alpha", "1", "--function", "inner-cusp",
+                "--alpha0", "1.5", "--beta0", "150", "--n", "64:256"]
+        assert run_cli(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("check failed: the ratio's sup at x=0.369873 (n=64) has the local "
+                       "scale 5.93e+63, clipped to T_MAX=0.25\n")
+
     def test_rates_too_short_to_fit(self, tmp_path):
         # three degrees are too few for fit_rate: the rows carry only the
         # measured errors and the report has no slope

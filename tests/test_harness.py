@@ -320,11 +320,10 @@ class TestLemmaSweepsMatchScalarSums:
         slope = fit_rate(list(zip(cfg.n_values, seq5)), scale_name="n").fitted_slope
         assert results["lemma5"].constant == slope
         # lemma 2's max sits at x = 1 for inner-root, inside (0, 1) for
-        # smooth-bump.  Lemma 2 sums each block row by the block's gemv:
-        # the same gemv over _blocks, in the sweep's chunks of
-        # checks._BLOCK_VALUES // (n + 1) rows, gives its bits, and the
-        # operator sum, which adds in another order, agrees to 1e-13
-        # relative
+        # smooth-bump.  Lemma 2 sums each block row on its own with
+        # np.vecdot: the row dots of one full-width block over the whole
+        # grid, in no chunks, give its bits, and the operator sum, which
+        # adds in another order, agrees to 1e-13 relative
         x, w = grid.points, wbar(params, grid.points)
         suites = {cfg.function_name: results,
                   "smooth-bump": lemma_suite(replace(cfg, function_name="smooth-bump"))}
@@ -334,12 +333,8 @@ class TestLemmaSweepsMatchScalarSums:
             seq2, applied = [], []
             for n in cfg.n_values:
                 op = build_operator(f, n, params)
-                m = min(max(1, checks._BLOCK_VALUES // (n + 1)), x.size)
-                chunks = []
-                for a in range(0, x.size, m):
-                    block = _blocks(n, x[a : a + m], basis._ROW_EXPONENT, np.empty((m, n + 1)))
-                    chunks.append(float(np.max(w[a : a + m] * np.abs(block @ op.fbar_samples) / nwf)))
-                seq2.append(max(chunks))
+                block = _blocks(n, x, basis._ROW_EXPONENT, np.empty((x.size, n + 1)))
+                seq2.append(float(np.max(w * np.abs(np.vecdot(block, op.fbar_samples)) / nwf)))
                 applied.append(float(np.max(w * np.abs(bbar_apply(op, grid.points)))) / nwf)
             assert res["lemma2"].constant == max(seq2), name
             assert res["lemma2"].constant == pytest.approx(max(applied), rel=1e-13, abs=0.0), name
@@ -386,43 +381,49 @@ class TestScalarPow:
 class TestLemmaSuiteOneSweep:
     def test_one_basis_pass_per_degree(self, params, sw, monkeypatch):
         # every basis evaluation of the suite, whichever module reaches
-        # the kernel through, is one block pass per degree
+        # the kernel through, is one pass per degree, in degree order:
+        # that degree's chunks cover every abscissa of the grid once
         calls = []
 
-        def counting(n, *args):
-            calls.append(n)
-            return _blocks(n, *args)
+        def counting(n, x, *args):
+            calls.append((n, x.copy()))
+            return _blocks(n, x, *args)
 
         monkeypatch.setattr(basis, "_blocks", counting)
         monkeypatch.setattr(checks, "_blocks", counting)
         cfg = _cfg(params, sw, n_values=(64, 128, 256, 512), grid_density=513)
         lemma_suite(cfg)
-        assert calls == list(cfg.n_values)
+        degrees = [n for n, _ in calls]
+        assert sorted(set(degrees)) == list(cfg.n_values)
+        assert degrees == sorted(degrees)
+        x = cfg.make_grid().points
+        for n in cfg.n_values:
+            covered = np.concatenate([t for m, t in calls if m == n])
+            assert covered.tobytes() == x.tobytes(), n
 
     def test_peak_memory_is_one_block_buffer(self, params, sw):
         # the default sweep writes every degree's chunks into one buffer
-        # of at most _BLOCK_VALUES float64 values (7.6 MiB): measured peak
-        # 9.5 MiB with the grid, the tables and the tile buffers.  A
-        # buffer per degree or per chunk is still alive when the next one
-        # is allocated, which adds another 7.6 MiB
+        # of _BLOCK_VALUES float64 values (1 MiB): measured peak 2.7 MiB
+        # with the grid, the tables and the tile buffers.  Chunks of 10^6
+        # values peak at 9.5 MiB, and a buffer per degree or per chunk is
+        # still alive when the next one is allocated
         tracemalloc.start()
         try:
             lemma_suite(ExperimentConfig(params=params, sw=sw))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 8 * checks._BLOCK_VALUES, peak
+        assert peak <= 4 * 2**20, peak
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_any_chunk_gives_the_same_bits(self, params, sw, rows, monkeypatch):
-        # lemmas 1, 4, 5 and 6 read each block row on its own, so chunks
-        # of 1 and 7 rows keep their bits; lemma 2's gemv sums a row in an
-        # order set by the chunk's shape, which _BLOCK_VALUES pins
+        # lemmas 1, 2, 4, 5 and 6 read each block row on its own, so
+        # chunks of 1 and 7 rows keep their bits
         cfg = _cfg(params, sw, n_values=(64, 128, 256, 512), grid_density=513)
         want = lemma_suite(cfg)
         monkeypatch.setattr(checks, "_BLOCK_VALUES", _Rows(rows))
         got = lemma_suite(cfg)
-        for key in ("lemma1", "lemma4", "lemma5", "lemma6"):
+        for key in ("lemma1", "lemma2", "lemma4", "lemma5", "lemma6"):
             assert got[key].constant.hex() == want[key].constant.hex(), key
             assert got[key] == want[key], key
 
