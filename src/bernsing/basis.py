@@ -14,10 +14,10 @@ hold whole rows, k = 0..n, and callers slice the indices they read.  An
 entry is the full-width value inside its row's band and 0.0 outside it:
 rows take R = 750, where float64 ``exp`` returns exactly 0.0 for every
 entry left out, and the lemma sweep R = 100 (see checks._SWEEP_EXPONENT).
-A block is assembled a tile of rows at a time, between the lowest band
-start and the highest band end of its rows, on the calling thread; an
-entry goes through the same operations in any tile, so no bit depends on
-how the rows are cut.
+A block is assembled once, between the lowest band start and the
+highest band end of its rows, on the calling thread; an entry goes
+through the same operations whichever rows share the call, so no bit
+depends on how a caller groups its rows.
 
 The operator sum (bernstein_apply) reads no ln k! table and exponentiates
 one value per abscissa.  Each interior x sums the whole segments of
@@ -73,8 +73,6 @@ def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
     _extend_ln_fact(n)
     return _ln_fact[n] - _ln_fact[k] - _ln_fact[n - k]
 
-
-_TILE_VALUES = 1 << 15  # about the values per tile of a block's assembly
 
 # The band of x at exponent R is [floor(n x - t), ceil(n x + t)] within
 # 0..n, where t solves t^2 / (2 (sigma^2 + t/3)) = R, sigma^2 = n x (1 - x):
@@ -138,53 +136,42 @@ def _blocks(n: int, x: np.ndarray, exponent: float, out: np.ndarray) -> np.ndarr
     x = 1 are unit vectors.  A caller that needs some indices only slices
     the columns: an entry does not depend on them.
 
-    The block is assembled a tile of rows at a time, each between the
-    lowest band start and the highest band end of its rows; the union of
-    all the bands sizes the tiles.  Every entry is computed as in a
-    full-width block, and after exp every entry outside its own row's
-    band is set to 0.0, so no bit depends on how the rows are tiled or
-    which rows share a call.  At _ROW_EXPONENT that is the full-width
-    block itself.
+    The block is assembled once, between the lowest band start and the
+    highest band end of its rows, and the log-binomials are read on those
+    columns only.  Every entry is computed as in a full-width block, and
+    after exp every entry outside its own row's band is set to 0.0, so no
+    bit depends on which rows share a call.  At _ROW_EXPONENT that is the
+    full-width block itself.
     """
-    k = np.arange(n + 1, dtype=_LD)
-    nk = n - k
-    lrow = _log_binom(n, np.arange(n + 1))
-    # each row's band as the columns j0 .. j1 - 1, also as lists: Python's
-    # min and max of a tile's few bounds cost less than numpy reductions
+    # each row's band as the columns j0 .. j1 - 1
     j0, j1 = _bands(n, x, exponent)
     j1 += 1
-    l0, l1 = j0.tolist(), j1.tolist()
-    # the union of all bands sizes the tiles, and one pair of longdouble
-    # buffers holds a tile
-    width = max(l1) - min(l0)
-    tile = max(1, _TILE_VALUES // width)
-    buf = np.empty((2, min(tile, x.size) * width), _LD)
+    c0, e0, e1, c1 = int(j0.min()), int(j0.max()), int(j1.min()), int(j1.max())
+    cols = np.arange(c0, c1)
+    k = cols.astype(_LD)
     o = out[: x.size]
+    o[:, :c0] = o[:, c1:] = 0.0
+    v = o[:, c0:c1]
     xl = x.astype(_LD)
     # log 0 and 0 * -inf at x = 0 and 1 (fixed below), and exp
     # underflow to 0.0 near the band edges, as it may
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        for b in range(0, x.size, tile):
-            s = slice(b, min(b + tile, x.size))
-            c0, e0, e1, c1 = min(l0[s]), max(l0[s]), min(l1[s]), max(l1[s])
-            o[s, :c0] = o[s, c1:] = 0.0
-            # the exponent in four longdouble passes, in contiguous
-            # buffers (strided views cost numpy a cast buffer), then
-            # the cast and exp
-            v = o[s, c0:c1]
-            er, tr = buf[:, : v.size].reshape(2, *v.shape)
-            np.multiply(np.log(xl[s])[:, None], k[c0:c1], out=er)
-            np.add(lrow[c0:c1], er, out=er)
-            np.multiply(np.log1p(-xl[s])[:, None], nk[c0:c1], out=tr)
-            np.add(er, tr, out=er)
-            v[...] = er
-            np.exp(v, out=v)
-            # then 0.0 outside each row's own band: only the columns
-            # before the last band start and from the first band end on
-            if e0 > c0:
-                np.copyto(v[:, : e0 - c0], 0.0, where=np.arange(c0, e0) < j0[s, None])
-            if e1 < c1:
-                np.copyto(v[:, e1 - c0 :], 0.0, where=np.arange(e1, c1) >= j1[s, None])
+        # the exponent in four longdouble passes, in two contiguous
+        # buffers (strided views cost numpy a cast buffer), then the cast
+        # and exp
+        er, tr = np.empty((2, *v.shape), _LD)
+        np.multiply(np.log(xl)[:, None], k, out=er)
+        np.add(_log_binom(n, cols), er, out=er)
+        np.multiply(np.log1p(-xl)[:, None], n - k, out=tr)
+        np.add(er, tr, out=er)
+        v[...] = er
+        np.exp(v, out=v)
+        # then 0.0 outside each row's own band: only the columns before
+        # the last band start and from the first band end on
+        if e0 > c0:
+            np.copyto(v[:, : e0 - c0], 0.0, where=cols[: e0 - c0] < j0[:, None])
+        if e1 < c1:
+            np.copyto(v[:, e1 - c0 :], 0.0, where=cols[e1 - c0 :] >= j1[:, None])
     # the log-space form leaves 0 * -inf = NaN where 0**0 = 1 is
     # meant; every other entry of an endpoint row is exp(-inf) = 0
     o[x == 0.0, 0] = 1.0

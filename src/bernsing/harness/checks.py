@@ -166,7 +166,7 @@ def direct_check(cfg: ExperimentConfig) -> RateReport:
         bad = live[mod[live] <= atol]
         if bad.size:
             raise Degenerate(
-                f"modulus vanishes at x={x[bad[0]]!r} (n={n}) where the error does not"
+                f"modulus vanishes at x={x[bad[0]]:.6g} (n={n}) where the error does not"
             )
         if live.size:
             q = err[live] / mod[live]
@@ -234,9 +234,9 @@ def _pow(base: np.ndarray, p: float) -> np.ndarray:
 # some 27 orders below the last bit of any lemma constant.
 _SWEEP_EXPONENT = 100.0
 
-# Values per lemma-sweep chunk (1 MiB), a memory budget: every term reads each
-# block row on its own.  Chunks of 2^15 values make the sweep about 10% slower.
-_BLOCK_VALUES = 1 << 17
+# Values per lemma-sweep chunk (256 KiB), the one row grouping of the sweep:
+# every term reads each block row on its own, so it is only a memory budget.
+_BLOCK_VALUES = 1 << 15
 
 
 def _sweep(cfg, x, terms: list) -> dict:
@@ -249,22 +249,26 @@ def _sweep(cfg, x, terms: list) -> dict:
     (labels, span, fn): span is the slice of x it reads, and fn maps
     (n, rows, block) to one value per block row and label, where rows
     indexes x[span] and the block's columns are the indices 0..n; fn
-    slices the indices its lemma sums over.
+    slices the indices its lemma sums over.  The values go into one
+    table per degree, a row per label and a column per abscissa (-inf
+    outside the label's span), and each label's max is taken once.
     """
     labels = [label for t in terms for label in t[0]]
     at = np.cumsum([0] + [len(t[0]) for t in terms])
-    best = np.full((len(labels), len(cfg.n_values)), -math.inf)
+    best = np.empty((len(labels), len(cfg.n_values)))
+    table = np.empty((len(labels), x.size))
     rows = [min(max(1, _BLOCK_VALUES // (n + 1)), x.size) for n in cfg.n_values]
     buf = np.empty(max(m * (n + 1) for n, m in zip(cfg.n_values, rows)))
     for j, (n, m) in enumerate(zip(cfg.n_values, rows)):
+        table.fill(-math.inf)
         for a in range(0, x.size, m):
             block = _blocks(n, x[a : a + m], _SWEEP_EXPONENT, buf[: m * (n + 1)].reshape(m, n + 1))
             for (names, span, term), i in zip(terms, at):
                 lo, hi = max(a, span.start), min(a + m, span.stop)
                 if lo < hi:
                     got = term(n, slice(lo - span.start, hi - span.start), block[lo - a : hi - a])
-                    top = best[i : i + len(names), j]
-                    np.maximum(top, np.reshape(got, (len(names), -1)).max(axis=1), out=top)
+                    table[i : i + len(names), lo:hi] = got
+        table.max(axis=1, out=best[:, j])
     return dict(zip(labels, best.tolist()))
 
 
@@ -275,11 +279,6 @@ def _verdict(name: str, seqs: dict) -> LemmaResult:
     ok = all(good for good, _ in verdicts)
     detail = "; ".join(f"{label} {note}" for label, (_, note) in zip(seqs, verdicts))
     return LemmaResult(name, "pass" if ok else "fail", max(map(max, seqs.values())), detail)
-
-
-# values per |k - n x| table in the moment term (31 rows at n = 1024), a
-# quarter of a sweep chunk.  A row's dot product reads only that row: no bit moves.
-_GROUP_VALUES = 1 << 15
 
 
 def _basis_lemmas(cfg, grid, f) -> dict:
@@ -311,28 +310,21 @@ def _basis_lemmas(cfg, grid, f) -> dict:
 
     def moments(n, rows, block):
         """Lemma 4 over 0..n and lemma 6 near xi from one table d = |k - n x|
-        per row group.  np.vecdot sums each row as a 1-d np.dot does; a
+        per chunk.  np.vecdot sums each row as a 1-d np.dot does; a
         matrix product would sum in another order and move the trend
         statistic of ratios that equal 1 to rounding (lemma 4, gamma = 2)."""
         klo, khi = near[n]
-        k = np.arange(n + 1, dtype=float)
-        t, step = xs[rows, None], max(1, _GROUP_VALUES // k.size)
-        sums = []
-        for i in range(0, len(t), step):
-            group, d = block[i : i + step], k - n * t[i : i + step]
-            np.abs(d, out=d)
-            four, six = [], []
-            for g in gammas:
-                # d ** 1.0 is a copy of d, with the same bits
-                p = d if g == 1.0 else d ** g
-                four.append(np.vecdot(group, p))
-                if g in betas:
-                    six.append(np.vecdot(group[:, klo : khi + 1], p[:, klo : khi + 1]))
-            sums.append(four + six)
-        s = np.concatenate(sums, axis=1)
-        return ([sg / (n ** (g / 2) * den[g][rows]) for g, sg in zip(gammas, s)]
-                + [wbi[rows] * sb / (n ** ((b - a) / 2) * den[b][rows])
-                   for b, sb in zip(betas, s[len(gammas):])])
+        d = np.arange(n + 1, dtype=float) - n * xs[rows, None]
+        np.abs(d, out=d)
+        four, six = [], []
+        for g in gammas:
+            # d ** 1.0 is a copy of d, with the same bits
+            p = d if g == 1.0 else d ** g
+            four.append(np.vecdot(block, p) / (n ** (g / 2) * den[g][rows]))
+            if g in betas:
+                sb = np.vecdot(block[:, klo : khi + 1], p[:, klo : khi + 1])
+                six.append(wbi[rows] * sb / (n ** ((g - a) / 2) * den[g][rows]))
+        return four + six
 
     # (labels, abscissae, per-row values per label); lemma 1 sums the
     # interior indices 1..n-1, lemma 5 those within sqrt(n) of n xi

@@ -49,6 +49,12 @@ def _block(n, xs, exponent=_ROW_EXPONENT):
     return got
 
 
+def _sliced(n, xs, rows, exponent=_ROW_EXPONENT):
+    """The block of xs from one _block call per `rows` consecutive rows."""
+    return np.concatenate([_block(n, xs[a : a + rows], exponent)
+                           for a in range(0, xs.size, rows)])
+
+
 class TestBasisValue:
     def test_frozen_examples(self):
         # 2 * 0.5 * 0.5 by direct arithmetic
@@ -338,13 +344,12 @@ class TestArbitraryPrecisionOracle:
 
 
 class TestExactZeroWindow:
-    # The kernel assembles each tile of rows only between the lowest band
+    # The kernel assembles a call's rows only between the lowest band
     # start and the highest band end of its rows (basis._bands at
     # _ROW_EXPONENT), and sets the rest to 0.0; the full-width oracle
     # evaluates every column.
-    # Sorted abscissae give narrow windows per tile, and single rows
-    # (basis_row, a tile of one row) the narrowest; both must equal the
-    # oracle to the bit.
+    # Sorted abscissae give narrow windows, and single rows (basis_row)
+    # the narrowest; both must equal the oracle to the bit.
     XI = 0.37
 
     @classmethod
@@ -379,8 +384,7 @@ class TestExactZeroWindow:
 
     # The row bands at the extremes of x: at the endpoints, in the
     # underflow range next to them, and in the middle.  Mixed blocks hold
-    # endpoint-cluster and mid-grid rows together, so one block's tiles
-    # span both (at n = 65536 a block has 15 rows).
+    # endpoint-cluster and mid-grid rows together, so one call spans both.
     EDGE_X = [0.0, 1e-300, 1e-10, 1e-3, 0.2, 0.5, 0.99, 1.0 - 1e-10, 1.0]
 
     @classmethod
@@ -406,23 +410,38 @@ class TestExactZeroWindow:
 
 class TestSweepBands:
     # The lemma sweep's blocks hold each row's band at _SWEEP_EXPONENT and
-    # 0.0 outside it: the full-width value inside, whatever the tiles.
+    # 0.0 outside it: the full-width value inside, whichever rows share a
+    # call.
 
     @pytest.mark.parametrize("n", [64, 1024, 16384, 65536])
-    def test_blocks_are_the_full_width_block_on_each_band(self, n, monkeypatch):
-        # endpoint-cluster and mid-grid rows in no order; x = 0 and x = 1
-        # stretch each block's bands over 0..n, so
-        # _TILE_VALUES = tile * (n + 1) makes tiles of `tile` rows, and a
-        # tile of 3 or 7 rows spans bands far wider than some of its rows'
+    def test_blocks_are_the_full_width_block_on_each_band(self, n):
+        # endpoint-cluster and mid-grid rows in no order, in calls of 1, 3
+        # and 7 consecutive rows; x = 0 and x = 1 stretch a call's columns
+        # over 0..n, and a call of 3 or 7 rows spans bands far wider than
+        # some of its rows'
         xs = TestExactZeroWindow._mixed()
         lo, hi = _bands(n, xs, _SWEEP_EXPONENT)
         k = np.arange(n + 1)
         inside = (k >= lo[:, None]) & (k <= hi[:, None])
         want = np.where(inside, full_width_block(n, xs, 0, n), 0.0).view(np.uint64)
         for tile in (1, 3, 7):
-            monkeypatch.setattr(basis, "_TILE_VALUES", tile * (n + 1))
-            got = _block(n, xs, _SWEEP_EXPONENT)
+            got = _sliced(n, xs, tile, _SWEEP_EXPONENT)
             assert (got.view(np.uint64) == want).all(), tile
+
+    def test_a_call_reads_only_its_band(self, monkeypatch):
+        # one row at n = 65536 reads ln C(n, k) on its band's columns
+        # only, not on all n + 1
+        n, x = 65536, np.array([0.5])
+        (lo,), (hi,) = _bands(n, x, _SWEEP_EXPONENT)
+        seen = []
+
+        def log_binom(n, k, _log_binom=basis._log_binom):
+            seen.append(np.size(k))
+            return _log_binom(n, k)
+
+        monkeypatch.setattr(basis, "_log_binom", log_binom)
+        _blocks(n, x, _SWEEP_EXPONENT, np.empty((1, n + 1)))
+        assert seen and sum(seen) <= hi - lo + 1, (seen, lo, hi)
 
     @pytest.mark.parametrize("n", [64, 1024, 16384])
     @pytest.mark.parametrize("x", [1e-10, 0.013, 0.37, 0.5])
@@ -512,27 +531,26 @@ class TestBandedApply:
 
 
 class TestBlockTiles:
-    # _blocks cuts a block's rows into tiles, one after another on the
-    # calling thread.  Every entry sees the same operations however the
-    # rows are cut, so any tile size must give the full-width bits.
+    # A caller may hand _blocks any consecutive rows, one call after
+    # another on the calling thread.  Every entry sees the same operations
+    # whichever rows share a call, so calls of any size must give the
+    # full-width bits.
 
     @staticmethod
     def _abscissae(n):
-        # about 2^16 values (at least 15 rows), x = 0 in the first tile
+        # about 2^16 values (at least 15 rows), x = 0 in the first call
         # and x = 1 in the last
         rows = max(15, (1 << 16) // (n + 1))
         return np.concatenate([[0.0], np.linspace(0.3, 0.7, rows - 2), [1.0]])
 
     @pytest.mark.parametrize("n", [1024, 16384, 65536])
     @pytest.mark.parametrize("tile", [1, 3, 7])
-    def test_any_tile_size_gives_the_full_width_bits(self, n, tile, monkeypatch):
-        # x = 0 and x = 1 stretch the block's bands over all of 0..n, so
-        # _TILE_VALUES = tile * (n + 1) makes tiles of `tile` rows; x = 0
-        # and x = 1 lie in different tiles
+    def test_any_tile_size_gives_the_full_width_bits(self, n, tile):
+        # calls of `tile` consecutive rows; x = 0 and x = 1 lie in
+        # different calls
         xs = self._abscissae(n)
         want = full_width_block(n, xs, 0, n).view(np.uint64)
-        monkeypatch.setattr(basis, "_TILE_VALUES", tile * (n + 1))
-        assert (_block(n, xs).view(np.uint64) == want).all()
+        assert (_sliced(n, xs, tile).view(np.uint64) == want).all()
 
     @pytest.mark.parametrize("calls", [1, 2])
     def test_apply_peak_memory_is_its_tables_and_a_tile(self, calls, grid):
@@ -573,17 +591,15 @@ class TestBlockTiles:
         assert (got == full_width_block(n, xs, 0, n)).all()
 
     @pytest.mark.parametrize("n", [1024, 16384, 65536])
-    def test_mixed_tiles_give_the_full_width_bits(self, n, monkeypatch):
-        # endpoint-cluster and mid-grid rows in no order: a tile spans
-        # from the lowest band start to the highest band end of its rows,
-        # which are rarely its first and last rows.  x = 0 and x = 1
-        # stretch the bands' union over 0..n, so
-        # _TILE_VALUES = tile * (n + 1) makes tiles of `tile` rows.
+    def test_mixed_tiles_give_the_full_width_bits(self, n):
+        # endpoint-cluster and mid-grid rows in no order, in calls of 1, 3
+        # and 7 consecutive rows: a call spans from the lowest band start
+        # to the highest band end of its rows, which are rarely its first
+        # and last rows
         xs = TestExactZeroWindow._mixed()
         want = full_width_block(n, xs, 0, n).view(np.uint64)
         for tile in (1, 3, 7):
-            monkeypatch.setattr(basis, "_TILE_VALUES", tile * (n + 1))
-            assert (_block(n, xs).view(np.uint64) == want).all(), tile
+            assert (_sliced(n, xs, tile).view(np.uint64) == want).all(), tile
 
     def test_apply_exponentiates_one_anchor_per_abscissa(self, grid, monkeypatch):
         # values handed to exp on the refined grid at n = 16384: one

@@ -171,6 +171,18 @@ class TestExitCodes:
         assert err.startswith("check failed: modulus vanishes at x=")
         assert err.count("\n") == 1
 
+    def test_vanishing_modulus_prints_x_as_a_number(self, monkeypatch, capsys):
+        # the point is printed as the clipped-scale message prints it, not
+        # as a numpy scalar's repr
+        from bernsing.harness import checks
+
+        monkeypatch.setattr(checks, "_tabulated_modulus", lambda *args: np.zeros_like)
+        assert run_cli(["direct", *BASE, "--n", "64:128"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("check failed: modulus vanishes at x=7.19686e-10 (n=64) "
+                       "where the error does not\n")
+
     def test_direct_sup_at_a_clipped_scale_is_a_failed_check(self, capsys):
         # at beta0 = 150 the step weight x^150 (1-x)^0.5 is below 1e-40 for
         # x < 0.54, where the local scale reaches 1e52-6e63; the modulus

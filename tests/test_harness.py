@@ -237,8 +237,7 @@ class TestLemmaSuite:
 
 
 class _Rows:
-    """A row budget, of a row group or a sweep chunk, of `rows` rows at
-    every degree."""
+    """A sweep chunk budget of `rows` rows at every degree."""
 
     def __init__(self, rows):
         self.rows = rows
@@ -341,13 +340,13 @@ class TestLemmaSweepsMatchScalarSums:
             assert res["lemma2"].detail == f"{name}: {sequence_verdict(seq2)[1]}"
 
     def test_any_row_group_gives_the_scalar_sums(self, sw, scalar, monkeypatch):
-        # lemmas 4 and 6 read one |k - n x| table per row group: groups of
-        # 1 and 7 rows, and one group per basis block, must all give the
+        # lemmas 4 and 6 read one |k - n x| table per sweep chunk: chunks
+        # of 1 and 7 rows, and one chunk per degree, must all give the
         # bits of the scalar sums
         cfg = self._cfg(sw)
         cases = {key: scalar[0][key] for key in ("lemma4", "lemma6")}
         for budget in (_Rows(1), _Rows(7), 10**9):
-            monkeypatch.setattr(checks, "_GROUP_VALUES", budget)
+            monkeypatch.setattr(checks, "_BLOCK_VALUES", budget)
             self._check(lemma_suite(cfg), cases)
 
 
@@ -403,10 +402,10 @@ class TestLemmaSuiteOneSweep:
 
     def test_peak_memory_is_one_block_buffer(self, params, sw):
         # the default sweep writes every degree's chunks into one buffer
-        # of _BLOCK_VALUES float64 values (1 MiB): measured peak 2.7 MiB
-        # with the grid, the tables and the tile buffers.  Chunks of 10^6
-        # values peak at 9.5 MiB, and a buffer per degree or per chunk is
-        # still alive when the next one is allocated
+        # of _BLOCK_VALUES float64 values (256 KiB): measured peak 2.2 MiB
+        # with the grid, the tables and a chunk's longdouble buffers.
+        # Chunks of 10^6 values peak at 9.5 MiB, and a buffer per degree
+        # or per chunk is still alive when the next one is allocated
         tracemalloc.start()
         try:
             lemma_suite(ExperimentConfig(params=params, sw=sw))
