@@ -20,12 +20,13 @@ through the same operations whichever rows share the call, so no bit
 depends on how a caller groups its rows.
 
 The operator sum (bernstein_apply) reads no ln k! table and exponentiates
-one value per abscissa.  Each interior x sums the whole segments of
-_SEGMENT columns that cover its band at R = 40, outside which a row holds
-at most 2 e^-40 ~ 8.5e-18 of its mass; x > 1/2 is taken as 1 - x with the
-samples reversed, so r = x/(1-x) <= 1.  A term is an anchor p_{n,a}(x)
-times r^l times C(n, a + l) / C(n, a), and a row's first anchor takes
-ln C(n, a) from the segment steps: a tile is one gemm and row dots.
+one value per distinct min(x, 1 - x).  Each interior x sums the whole
+segments of _SEGMENT columns that cover its band at R = 40, outside which
+a row holds at most 2 e^-40 ~ 8.5e-18 of its mass; x > 1/2 is taken as
+1 - x on a column of reversed samples, so r = x/(1-x) <= 1 and the sides
+share one pass.  A term is an anchor p_{n,a}(x) times r^l times
+C(n, a + l) / C(n, a), and a row's first anchor takes ln C(n, a) from the
+segment steps: a tile is one gemm and row dots per column.
 """
 from __future__ import annotations
 
@@ -193,47 +194,48 @@ def basis_row(n: int, x: float) -> np.ndarray:
     return w
 
 
-def _segments(n: int, s: np.ndarray, qa: int, qb: int) -> tuple[np.ndarray, np.ndarray]:
-    """For the anchors a = _SEGMENT q, the table
-    h[q - qa, l] = s[a + l] C(n, a + l) / C(n, a) (0 past n), q = qa..qb,
-    and the steps C(n, a + _SEGMENT) / C(n, a), q = 0..qb, in longdouble.
-    Each segment is a longdouble cumprod of (n - k)/(k + 1) from its own
-    anchor, so no value depends on qa or qb; _TILE_ANCHORS values at a
-    time bound the longdouble temporaries."""
+def _segments(n: int, ss: tuple, qa: int, qb: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the anchors a = _SEGMENT q, the table h[q - qa, j, l] =
+    ss[j][a + l] C(n, a + l) / C(n, a) (0 past n), q = qa..qb, and the
+    steps C(n, a + _SEGMENT) / C(n, a), q = 0..qb, in longdouble: per
+    segment a cumprod of (n - k)/(k + 1) from its own anchor, so no value
+    depends on qa or qb, _TILE_ANCHORS values at a time."""
     a, size = _SEGMENT * qa, _SEGMENT * (qb - qa + 1)
-    h, steps = np.zeros((qb - qa + 1, _SEGMENT)), np.empty(qb + 1, _LD)
-    samples = s[a : a + size]
-    h.flat[: samples.size] = samples
+    h, steps = np.zeros((qb - qa + 1, len(ss), _SEGMENT)), np.empty(qb + 1, _LD)
+    for j, s in enumerate(ss):
+        samples = s[a : a + size]
+        h[:, j].flat[: samples.size] = samples
     for c in range(0, a + size, _TILE_ANCHORS):
         k = np.arange(c, min(c + _TILE_ANCHORS, a + size), dtype=_LD).reshape(-1, _SEGMENT)
         g = np.cumprod(np.maximum(n - k, 0) / (k + 1), axis=1)
         q = np.arange(c // _SEGMENT, c // _SEGMENT + g.shape[0])
         steps[q] = g[:, -1]
-        h[q[q >= qa] - qa, 1:] *= g[q >= qa, :-1].astype(float)
+        h[q[q >= qa] - qa, :, 1:] *= g[q >= qa, None, :-1].astype(float)
     return h, steps
 
 
-def _segment_sum(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sum_k s[k] p_{n,k}(x) over the whole segments that cover each
-    band, for increasing x in (0, 1/2], where r = x/(1-x) <= 1.
+def _segment_sum(ss: tuple, x: np.ndarray) -> np.ndarray:
+    """res[i, j] = Sum_k ss[j][k] p_{n,k}(x[i]) over the whole segments
+    that cover each band, for sample vectors ss of one degree n and
+    increasing x in (0, 1/2], where r = x/(1-x) <= 1.
 
-    A term is p_{n,a}(x) r^l h[q, l] with a = _SEGMENT q: per tile of
-    rows, one gemm of the powers r^l against the table (_segments) and
-    one dot product of each row with its anchors p_{n,a}(x).  The first
+    A term is p_{n,a}(x) r^l h[q, j, l] with a = _SEGMENT q: per tile of
+    rows, one gemm of the powers r^l against the stacked tables
+    (_segments) and one dot product of each row with its anchors
+    p_{n,a}(x) per column, the powers and anchors shared.  The first
     anchor is the longdouble exp of its log-space exponent, with ln C(n, a)
     the compensated sum of the logs of the (positive) steps before a, and
     every later one the last times its step times r^_SEGMENT."""
-    n = s.size - 1
-    lo, hi = _bands(n, x, _BAND_EXPONENT)
-    q0, q1 = lo // _SEGMENT, hi // _SEGMENT
+    n = ss[0].size - 1
+    q0, q1 = np.asarray(_bands(n, x, _BAND_EXPONENT)) // _SEGMENT
     qa = int(q0.min())
-    h, steps = _segments(n, s, qa, int(q1.max()))
+    h, steps = _segments(n, ss, qa, int(q1.max()))
     xl = x.astype(_LD)
     r = xl / (1.0 - xl)
     run, comp = _neumaier(np.log(steps[: q0.max()]), _LD(0.0), _LD(0.0))
     a0 = _SEGMENT * q0
     first = np.exp((run + comp)[q0] + a0 * np.log(xl) + (n - a0) * np.log1p(-xl))
-    res = np.empty(x.size)
+    res = np.empty((x.size, len(ss)))
     b = 0
     while b < x.size:
         # the longest run of rows b..e-1, at least one, whose union ta..tb
@@ -249,7 +251,7 @@ def _segment_sum(s: np.ndarray, x: np.ndarray) -> np.ndarray:
         np.cumprod(power, axis=1, out=power)
         rl = power[:, :_SEGMENT].astype(float)
         np.copyto(rl, 0.0, where=rl < _POWER_FLOOR)
-        y = rl @ h[ta - qa : tb - qa + 1].T
+        y = rl @ h[ta - qa : tb - qa + 1].reshape(-1, _SEGMENT).T
         # the anchor chain: 1.0 before a row's first segment, so no row
         # depends on its tile-mates
         col = np.arange(ta, tb + 1)
@@ -261,51 +263,49 @@ def _segment_sum(s: np.ndarray, x: np.ndarray) -> np.ndarray:
         np.cumprod(chain, axis=1, out=chain)
         anchors = chain.astype(float)
         np.copyto(anchors, 0.0, where=before | (col > q1[b:e, None]))
-        res[b:e] = np.vecdot(anchors, y)
+        res[b:e] = np.vecdot(anchors[:, :, None], y.reshape(m, col.size, -1), axis=1)
         b = e
     return res
 
 
 def _banded_apply(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sum_k s[k] p_{n,k}(x) over the segments covering each band, for
-    increasing distinct x in (0, 1): x > 1/2 as 1 - x (exact there) with
-    the samples reversed.  The samples are scaled by a power of two below
+    """Sum_k s[k] p_{n,k}(x) over the segments covering each band, for x
+    in (0, 1): x > 1/2 as 1 - x (exact there) on the reversed samples'
+    column, and each distinct abscissa once, as a gemm may round equal rows
+    of a tile differently.  The samples are scaled by a power of two below
     1 in magnitude, so no partial sum overflows."""
     e = int(np.frexp(np.abs(s).max())[1])
     s = np.ldexp(s, -e)
-    half = int(np.searchsorted(x, 0.5, "right"))
-    res = np.empty(x.size)
+    right = x > 0.5
+    t = np.where(right, 1.0 - x, x)
+    tu = _distinct(t)
+    cols = tuple(v for v, used in ((s, not right.all()), (s[::-1], right.any())) if used)
     # powers and anchors far from a band underflow to 0.0, as they may
     with np.errstate(under="ignore"):
-        if half:
-            res[:half] = _segment_sum(s, x[:half])
-        if half < x.size:
-            res[half:] = _segment_sum(s[::-1], 1.0 - x[half:][::-1])[::-1]
-    return np.ldexp(res, e)
+        res = _segment_sum(cols, tu)
+    return np.ldexp(res[np.searchsorted(tu, t), right.astype(int) * (len(cols) - 1)], e)
 
 
 def bernstein_apply(samples, x):
-    """Sum_k samples[k] * p_{n,k}(x) with n = len(samples) - 1.
+    """Sum_k samples[k] * p_{n,k}(x) with n = len(samples) - 1, all finite.
 
     x may be a scalar or an ndarray; x = 0, 1 take the end samples.  An
     interior x sums only the segments that cover its band
     (_BAND_EXPONENT): a value differs from the full sum by at most
-    2 e^-40 max|samples|, plus rounding.  The distinct interior x are
-    sorted and cut into tiles, each one BLAS gemm and a dot product per
-    row, on the calling thread: a value's last bits depend on which
-    abscissae the call holds, not on their order, repeats or the CPUs.
-    Each side of 1/2 costs O(n min(x, 1 - x)) longdouble steps to its
-    first anchors (28 ms for x = 0.5 at n = 2^20): pass x in one call.
+    2 e^-40 max|samples|, plus rounding.  The distinct interior x, those
+    above 1/2 as 1 - x, are sorted and cut into tiles, each one BLAS gemm
+    and dot products per row, on the calling thread: a value's last bits
+    depend on which abscissae the call holds, not on their order, repeats
+    or the CPUs.  A call costs O(n max min(x, 1 - x)) longdouble steps to
+    its first anchors (28 ms for x = 0.5 at n = 2^20): pass x in one call.
     """
     s = np.asarray(samples, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("samples must be a non-empty 1-d vector")
+    if s.ndim != 1 or s.size == 0 or not np.isfinite(s).all():
+        raise ValueError("samples must be a non-empty 1-d vector of finite values")
     xs = _check_x(x)
     flat = xs.ravel()
     out = np.where(flat == 0.0, s[0], s[-1])
-    inner = np.flatnonzero((flat > 0.0) & (flat < 1.0))
-    if inner.size:
-        # each x once: a gemm may round equal rows of a tile differently
-        xu, back = np.unique(flat[inner], return_inverse=True)
-        out[inner] = _banded_apply(s, xu)[back]
+    inner = (flat > 0.0) & (flat < 1.0)
+    if inner.any():
+        out[inner] = _banded_apply(s, flat[inner])
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)

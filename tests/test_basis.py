@@ -226,6 +226,12 @@ class TestBernsteinApply:
             bernstein_apply([], 0.5)
         with pytest.raises(ValueError):
             bernstein_apply([1.0, 2.0], 1.5)
+        # a non-finite sample, as _check_x rejects a NaN abscissa
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                bernstein_apply([1.0, bad, 1.0], 0.3)
+            with pytest.raises(ValueError):
+                bernstein_apply([1.0, 1.0, bad], np.array([0.0, 1.0]))
 
     def test_nan_abscissa_rejected(self):
         samples = np.arange(5.0)
@@ -298,7 +304,7 @@ class TestArbitraryPrecisionOracle:
     @pytest.mark.parametrize(("n", "bound"), [(16384, 2.5e-15), (65536, 1e-14)])
     def test_apply_ones_on_the_refined_grid(self, n, bound, grid, monkeypatch):
         # the partition of unity through the operator sum, at every
-        # abscissa of the refined grid.  Measured 1.11e-15 and 4.22e-15;
+        # abscissa of the refined grid.  Measured 1.11e-15 and 4.11e-15;
         # anchors from ln n! - ln a! - ln (n-a)!, whose table entries are
         # rounded at the size of ln n!, read 1.12e-14 and 8.15e-14.  The
         # sum reads no ln k! table, so a small one stays as it is.
@@ -554,11 +560,11 @@ class TestBlockTiles:
 
     @pytest.mark.parametrize("calls", [1, 2])
     def test_apply_peak_memory_is_its_tables_and_a_tile(self, calls, grid):
-        # the segment sum holds the sample table of one side of 1/2 at a
-        # time (about 280 by 32 float64 values here), the longdouble
-        # temporaries of _TILE_ANCHORS table values, and one tile; no
-        # block, no log-factorial table, and nothing kept from one call
-        # to the next: measured 1.4 MiB for one call and for two
+        # the segment sum holds the sample tables of both sides of 1/2
+        # (about 280 segments by 2 columns by 32 float64 values here), the
+        # longdouble temporaries of _TILE_ANCHORS table values, and one
+        # tile; no block, no log-factorial table, and nothing kept from
+        # one call to the next: measured 1.41 MiB for one call and for two
         n = 16384
         s = np.cos(0.37 * np.arange(n + 1))
         tracemalloc.start()
@@ -603,9 +609,11 @@ class TestBlockTiles:
 
     def test_apply_exponentiates_one_anchor_per_abscissa(self, grid, monkeypatch):
         # values handed to exp on the refined grid at n = 16384: one
-        # longdouble anchor per distinct interior abscissa, every other
-        # term a product of ratios, where banded tiles took 4,494,564
-        # (the bands hold 3,961,728) and full-width blocks 16,900,027
+        # longdouble anchor per distinct abscissa of (0, 1/2] once those
+        # above 1/2 are taken as 1 - x, 2,268 of the 4,350 interior ones,
+        # every other term a product of ratios, where one pass per side
+        # of 1/2 took 4,350, banded tiles 4,494,564 (the bands hold
+        # 3,961,728) and full-width blocks 16,900,027
         sizes = []
 
         def exp(a, *args, _exp=np.exp, **kw):
@@ -614,8 +622,9 @@ class TestBlockTiles:
 
         monkeypatch.setattr(np, "exp", exp)
         bernstein_apply(np.cos(0.37 * np.arange(16385)), grid.points)
-        inner = np.unique(grid.points[(grid.points > 0.0) & (grid.points < 1.0)])
-        assert sum(sizes) <= inner.size, (sum(sizes), inner.size)
+        inner = grid.points[(grid.points > 0.0) & (grid.points < 1.0)]
+        mirrored = np.unique(np.minimum(inner, 1.0 - inner))
+        assert sum(sizes) <= mirrored.size, (sum(sizes), mirrored.size)
 
 
 class TestCentralMomentSum:

@@ -283,7 +283,7 @@ class TestDeterminism:
         # direct's error field goes through bernstein_apply, whose segment
         # sum rounds otherwise than the full-width blocks that wrote the
         # reference: the numbers agree to 1e-12 relative (largest change
-        # measured over the nine reference xi: 6.9e-16), not to the bit
+        # measured over the nine reference xi: 1.3e-15), not to the bit
         out = tmp_path / "direct.csv"
         assert run_cli(["direct", "--xi", "0.50", "--alpha", "1", "--function", "inner-cusp",
                         "--alpha0", "1.5", "--grid", "65537", "--n", "64:128",
