@@ -14,7 +14,7 @@ import os
 # imported first it has no effect.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .basis import basis_row, bernstein_apply
+from .basis import basis_row, bernstein_apply, bernstein_apply_many
 from .blending import Knots, TestFunction, bridge_p, fbar, fbar_d2, knots, psi, psi_d
 from .exceptions import (
     Degenerate,

@@ -26,13 +26,15 @@ a row holds at most 2 e^-40 ~ 8.5e-18 of its mass; x > 1/2 is taken as
 1 - x on a column of reversed samples, so r = x/(1-x) <= 1 and the sides
 share one pass.  A term is an anchor p_{n,a}(x) times r^l times
 C(n, a + l) / C(n, a), and a row's first anchor takes ln C(n, a) from the
-segment steps: a tile is one gemm and row dots per column.
+segment steps: a tile is one gemm and row dots per column.  What depends
+on x alone (the fold, sort, logs and powers r^l) is built once per call
+for all its sample vectors, of any degrees (bernstein_apply_many).
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["basis_row", "bernstein_apply"]
+__all__ = ["basis_row", "bernstein_apply", "bernstein_apply_many"]
 
 _LD = np.longdouble
 
@@ -94,6 +96,9 @@ _ROW_EXPONENT = 750.0
 _SEGMENT = 32
 _TILE_ANCHORS = 1 << 13
 _POWER_FLOOR = 1e-300
+# At most this many distinct abscissae share one set of tables
+# (_abscissae, 0.3 KiB each); every refined grid fits in one.
+_ABSCISSA_BLOCK = 1 << 12
 
 
 def _check_degree(n: int) -> int:
@@ -214,10 +219,24 @@ def _segments(n: int, ss: tuple, qa: int, qb: int) -> tuple[np.ndarray, np.ndarr
     return h, steps
 
 
-def _segment_sum(ss: tuple, x: np.ndarray) -> np.ndarray:
+def _abscissae(t: np.ndarray) -> tuple:
+    """The tables of increasing t in (0, 1/2] that every degree reads: t,
+    ln t and ln(1 - t), r^l for l < _SEGMENT in float64 (0.0 below
+    _POWER_FLOOR) and r^_SEGMENT, r = t/(1-t), each r^(l-1) r in longdouble."""
+    tl = t.astype(_LD)
+    r = tl / (1.0 - tl)
+    rl, p = np.empty((t.size, _SEGMENT)), np.ones(t.size, _LD)
+    for l in range(_SEGMENT):
+        rl[:, l] = p
+        p *= r
+    np.copyto(rl, 0.0, where=rl < _POWER_FLOOR)
+    return t, np.log(tl), np.log1p(-tl), rl, p
+
+
+def _segment_sum(ss: tuple, tab: tuple) -> np.ndarray:
     """res[i, j] = Sum_k ss[j][k] p_{n,k}(x[i]) over the whole segments
-    that cover each band, for sample vectors ss of one degree n and
-    increasing x in (0, 1/2], where r = x/(1-x) <= 1.
+    that cover each band, for sample vectors ss of one degree n and the
+    tables tab (_abscissae) of increasing x in (0, 1/2], r = x/(1-x) <= 1.
 
     A term is p_{n,a}(x) r^l h[q, j, l] with a = _SEGMENT q: per tile of
     rows, one gemm of the powers r^l against the stacked tables
@@ -226,15 +245,14 @@ def _segment_sum(ss: tuple, x: np.ndarray) -> np.ndarray:
     anchor is the longdouble exp of its log-space exponent, with ln C(n, a)
     the compensated sum of the logs of the (positive) steps before a, and
     every later one the last times its step times r^_SEGMENT."""
+    x, lnx, ln1mx, rl, rs = tab
     n = ss[0].size - 1
     q0, q1 = np.asarray(_bands(n, x, _BAND_EXPONENT)) // _SEGMENT
     qa = int(q0.min())
     h, steps = _segments(n, ss, qa, int(q1.max()))
-    xl = x.astype(_LD)
-    r = xl / (1.0 - xl)
     run, comp = _neumaier(np.log(steps[: q0.max()]), _LD(0.0), _LD(0.0))
     a0 = _SEGMENT * q0
-    first = np.exp((run + comp)[q0] + a0 * np.log(xl) + (n - a0) * np.log1p(-xl))
+    first = np.exp((run + comp)[q0] + a0 * lnx + (n - a0) * ln1mx)
     res = np.empty((x.size, len(ss)))
     b = 0
     while b < x.size:
@@ -245,19 +263,13 @@ def _segment_sum(ss: tuple, x: np.ndarray) -> np.ndarray:
         cost = np.maximum(tb - ta + 1, _SEGMENT) * np.arange(1, ta.size + 1)
         m = max(1, int(np.searchsorted(cost, _TILE_ANCHORS, "right")))
         e, ta, tb = b + m, int(ta[m - 1]), int(tb[m - 1])
-        # r^0 .. r^_SEGMENT; powers below _POWER_FLOOR become 0.0
-        power = np.empty((m, _SEGMENT + 1), _LD)
-        power[:, 0], power[:, 1:] = 1.0, r[b:e, None]
-        np.cumprod(power, axis=1, out=power)
-        rl = power[:, :_SEGMENT].astype(float)
-        np.copyto(rl, 0.0, where=rl < _POWER_FLOOR)
-        y = rl @ h[ta - qa : tb - qa + 1].reshape(-1, _SEGMENT).T
+        y = rl[b:e] @ h[ta - qa : tb - qa + 1].reshape(-1, _SEGMENT).T
         # the anchor chain: 1.0 before a row's first segment, so no row
         # depends on its tile-mates
         col = np.arange(ta, tb + 1)
         before = col < q0[b:e, None]
         chain = np.empty((m, tb - ta + 1), _LD)
-        np.multiply(steps[ta:tb], power[:, _SEGMENT, None], out=chain[:, 1:])
+        np.multiply(steps[ta:tb], rs[b:e, None], out=chain[:, 1:])
         np.copyto(chain, 1.0, where=before)
         chain[np.arange(m), q0[b:e] - ta] = first[b:e]
         np.cumprod(chain, axis=1, out=chain)
@@ -268,22 +280,51 @@ def _segment_sum(ss: tuple, x: np.ndarray) -> np.ndarray:
     return res
 
 
-def _banded_apply(s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sum_k s[k] p_{n,k}(x) over the segments covering each band, for x
-    in (0, 1): x > 1/2 as 1 - x (exact there) on the reversed samples'
-    column, and each distinct abscissa once, as a gemm may round equal rows
-    of a tile differently.  The samples are scaled by a power of two below
-    1 in magnitude, so no partial sum overflows."""
-    e = int(np.frexp(np.abs(s).max())[1])
-    s = np.ldexp(s, -e)
+def _banded_apply(ss: list, x: np.ndarray) -> list:
+    """[Sum_k s[k] p_{n,k}(x) for s in ss] over the segments covering each
+    band, for x in (0, 1), folded in place: x > 1/2 as 1 - x (exact there)
+    on the reversed samples' column, and each distinct abscissa once, as a
+    gemm may round equal rows of a tile differently.  Its tables are built
+    once for all of ss.  The samples are scaled by a power of two below 1
+    in magnitude, so no partial sum overflows."""
     right = x > 0.5
-    t = np.where(right, 1.0 - x, x)
-    tu = _distinct(t)
-    cols = tuple(v for v, used in ((s, not right.all()), (s[::-1], right.any())) if used)
+    np.subtract(1.0, x, out=x, where=right)
+    tu = _distinct(x)
+    used = (not right.all(), bool(right.any()))
+    es = [int(np.frexp(np.abs(s).max())[1]) for s in ss]
+    cols = [tuple(v for v, u in zip((s, s[::-1]), used) if u)
+            for s in map(np.ldexp, ss, [-e for e in es])]
+    res = [np.empty((tu.size, sum(used))) for _ in ss]
     # powers and anchors far from a band underflow to 0.0, as they may
     with np.errstate(under="ignore"):
-        res = _segment_sum(cols, tu)
-    return np.ldexp(res[np.searchsorted(tu, t), right.astype(int) * (len(cols) - 1)], e)
+        for b in range(0, tu.size, _ABSCISSA_BLOCK):
+            tab = _abscissae(tu[b : b + _ABSCISSA_BLOCK])
+            for c, r in zip(cols, res):
+                r[b : b + _ABSCISSA_BLOCK] = _segment_sum(c, tab)
+    del tab  # before the grid-sized arrays of the gather
+    # each x's row and column as one index into the flat sums
+    at = np.searchsorted(tu, x) * sum(used)
+    if all(used):
+        at += right
+    return [np.ldexp(r.ravel()[at], e) for r, e in zip(res, es)]
+
+
+def bernstein_apply_many(vectors, x) -> list:
+    """[bernstein_apply(s, x) for s in vectors], bit for bit, in one pass
+    over x: the sample vectors may have any degrees, and every table that
+    depends on x alone (the fold of x > 1/2, the distinct abscissae, their
+    logarithms and powers) is built once for all of them."""
+    ss = [np.asarray(s, dtype=float) for s in vectors]
+    if any(s.ndim != 1 or s.size == 0 or not np.isfinite(s).all() for s in ss):
+        raise ValueError("samples must be a non-empty 1-d vector of finite values")
+    xs = _check_x(x)
+    flat = xs.ravel()
+    inner = (flat > 0.0) & (flat < 1.0)
+    sums = _banded_apply(ss, flat[inner]) if inner.any() else [()] * len(ss)
+    outs = [np.where(flat == 0.0, s[0], s[-1]) for s in ss]
+    for out, v in zip(outs, sums):
+        out[inner] = v
+    return [float(o[0]) if xs.ndim == 0 else o.reshape(xs.shape) for o in outs]
 
 
 def bernstein_apply(samples, x):
@@ -297,15 +338,9 @@ def bernstein_apply(samples, x):
     and dot products per row, on the calling thread: a value's last bits
     depend on which abscissae the call holds, not on their order, repeats
     or the CPUs.  A call costs O(n max min(x, 1 - x)) longdouble steps to
-    its first anchors (28 ms for x = 0.5 at n = 2^20): pass x in one call.
+    its first anchors per block of _ABSCISSA_BLOCK distinct abscissae
+    (28 ms for x = 0.5 at n = 2^20): pass x in one call, and the sample
+    vectors on one x in one bernstein_apply_many call, which builds the
+    tables of x once.
     """
-    s = np.asarray(samples, dtype=float)
-    if s.ndim != 1 or s.size == 0 or not np.isfinite(s).all():
-        raise ValueError("samples must be a non-empty 1-d vector of finite values")
-    xs = _check_x(x)
-    flat = xs.ravel()
-    out = np.where(flat == 0.0, s[0], s[-1])
-    inner = (flat > 0.0) & (flat < 1.0)
-    if inner.any():
-        out[inner] = _banded_apply(s, flat[inner])
-    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+    return bernstein_apply_many([samples], x)[0]

@@ -16,11 +16,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..basis import _blocks, _distinct, _inverse_weights
+from ..basis import _blocks, _distinct, _inverse_weights, bernstein_apply_many
 from ..blending import TestFunction, _evaluate, bridge_p, fbar_d2, knots
 from ..exceptions import Degenerate, MissingExponent
 from ..moduli import T_MAX, ModulusConfig, quadrature_bound_ratio, modulus_curve
-from ..operator import bbar_apply, build_operator
+from ..operator import build_operator
 from ..weights import (
     EvalGrid,
     WeightParams,
@@ -90,12 +90,18 @@ def _window(n: int, xi: float) -> tuple[int, int]:
     return max(0, math.ceil(n * xi - s)), min(n, math.floor(n * xi + s))
 
 
+def _error_fields(f: TestFunction, n_values, params: WeightParams, grid: EvalGrid) -> list:
+    """error_field at each degree, every operator summed in one call."""
+    x = grid.points
+    sums = bernstein_apply_many([build_operator(f, n, params).fbar_samples for n in n_values], x)
+    return [_evaluate(f, f"in the error field of degree {n}",
+                      lambda: wbar(params, x) * np.abs(f.eval(x) - b))
+            for n, b in zip(n_values, sums)]
+
+
 def error_field(f: TestFunction, n: int, params: WeightParams, grid: EvalGrid) -> np.ndarray:
     """Pointwise weighted error wbar * |f - operator(f)| on the grid."""
-    x = grid.points
-    b = bbar_apply(build_operator(f, n, params), x)
-    return _evaluate(f, f"in the error field of degree {n}",
-                     lambda: wbar(params, x) * np.abs(f.eval(x) - b))
+    return _error_fields(f, (n,), params, grid)[0]
 
 
 def _scale_field(n: int, sw, x: np.ndarray) -> np.ndarray:
@@ -159,8 +165,7 @@ def direct_check(cfg: ExperimentConfig) -> RateReport:
     lookup = _tabulated_modulus(f, cfg.params, cfg.sw, grid, smallest)
     atol = 1e-11 * max(1.0, weighted_sup_norm(f, cfg.params, grid))
     rows = []
-    for n in cfg.n_values:
-        err = error_field(f, n, cfg.params, grid)
+    for n, err in zip(cfg.n_values, _error_fields(f, cfg.n_values, cfg.params, grid)):
         mod = lookup(scales[n])
         live = np.flatnonzero((err > atol) | (mod > atol))
         bad = live[mod[live] <= atol]
@@ -202,10 +207,8 @@ def inverse_check(cfg: ExperimentConfig) -> RateReport:
     x = grid.points
     curve = modulus_curve(f, cfg.params, cfg.sw, ModulusConfig(x_grid=grid, t_values=cfg.t_values))
     fit = fit_rate(list(zip(cfg.t_values, curve)), scale_name="t")
-    seq = []
-    for n in cfg.n_values:
-        err = error_field(f, n, cfg.params, grid)
-        seq.append(float(np.max(err * _scale_field(n, cfg.sw, x) ** -a0)))
+    seq = [float(np.max(err * _scale_field(n, cfg.sw, x) ** -a0))
+           for n, err in zip(cfg.n_values, _error_fields(f, cfg.n_values, cfg.params, grid))]
     first = seq[0]
     rows = [RateRow(float(n), e, first, e / first if first > 0 else math.inf)
             for n, e in zip(cfg.n_values, seq)]
@@ -425,7 +428,7 @@ def error_decay(cfg: ExperimentConfig) -> RateReport:
     with its fitted log-log rate."""
     f = corpus(cfg.function_name, cfg.params, cfg.alpha0)
     grid = cfg.make_grid()
-    seq = [float(np.max(error_field(f, n, cfg.params, grid))) for n in cfg.n_values]
+    seq = [float(np.max(err)) for err in _error_fields(f, cfg.n_values, cfg.params, grid)]
     return _fit(cfg.n_values, seq)
 
 

@@ -49,8 +49,10 @@ def _check_t_values(t_values) -> None:
     """Raise ValueError unless the anchor scales are non-empty, strictly
     increasing and in (0, T_MAX]."""
     ts = np.asarray(t_values, dtype=float)
+    if ts.size == 0:
+        raise ValueError("t_values must be non-empty")
     # NaN fails both comparisons
-    if ts.size == 0 or not ((ts > 0.0) & (ts <= T_MAX)).all():
+    if not ((ts > 0.0) & (ts <= T_MAX)).all():
         raise ValueError(f"t_values must lie in (0, {T_MAX}]")
     if (np.diff(ts) <= 0).any():
         raise ValueError("t_values must be strictly increasing")

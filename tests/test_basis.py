@@ -20,6 +20,7 @@ from bernsing.basis import (
     _blocks,
     basis_row,
     bernstein_apply,
+    bernstein_apply_many,
 )
 from bernsing.harness import ExperimentConfig, lemma_suite
 from bernsing.harness.checks import _SWEEP_EXPONENT, _window, sequence_verdict
@@ -536,6 +537,35 @@ class TestBandedApply:
             assert (got.view(np.uint64) == want[perm].view(np.uint64)).all()
 
 
+class TestApplyMany:
+    # bernstein_apply_many builds the tables of x once for every sample
+    # vector; each vector keeps the bits of its own bernstein_apply call
+
+    @pytest.mark.parametrize("points", ["refined", "uniform"])
+    def test_equals_one_vector_calls_bit_for_bit(self, points, grid):
+        # degrees 64..16384 on the refined grid (one block of tables) and
+        # on 65,537 uniform points (32,769 distinct min(x, 1 - x), nine
+        # blocks), with x = 0, 1 and 1/2, repeats, and both sides of 1/2
+        xs = grid.points if points == "refined" else np.linspace(0.0, 1.0, 65537)
+        xs = np.concatenate([xs, [0.5, 1.0, 0.0, 0.5, 0.25, 0.75], xs[::7]])
+        rng = np.random.default_rng(len(xs))
+        vectors = [rng.standard_normal((64 << i) + 1) for i in range(9)]
+        got = bernstein_apply_many(vectors, xs)
+        assert len(got) == len(vectors)
+        for s, g in zip(vectors, got):
+            assert (g.view(np.uint64) == bernstein_apply(s, xs).view(np.uint64)).all()
+
+    def test_scalar_empty_and_errors(self):
+        vectors = [[1.0, 3.0], np.arange(5.0)]
+        got = bernstein_apply_many(vectors, 0.5)
+        assert got == [bernstein_apply(s, 0.5) for s in vectors] and type(got[0]) is float
+        assert bernstein_apply_many([], np.array([0.0, 0.5])) == []
+        with pytest.raises(ValueError):
+            bernstein_apply_many([[1.0, 2.0], [1.0, np.nan]], 0.3)
+        with pytest.raises(ValueError):
+            bernstein_apply_many([[1.0, 2.0]], 1.5)
+
+
 class TestBlockTiles:
     # A caller may hand _blocks any consecutive rows, one call after
     # another on the calling thread.  Every entry sees the same operations
@@ -558,23 +588,34 @@ class TestBlockTiles:
         want = full_width_block(n, xs, 0, n).view(np.uint64)
         assert (_sliced(n, xs, tile).view(np.uint64) == want).all()
 
-    @pytest.mark.parametrize("calls", [1, 2])
-    def test_apply_peak_memory_is_its_tables_and_a_tile(self, calls, grid):
+    @pytest.mark.parametrize(("calls", "points", "bound"),
+                             [(1, "refined", 2.0), (2, "refined", 2.0),
+                              (1, "uniform", 4.5), (2, "uniform", 4.5)],
+                             ids=["1", "2", "uniform-1", "uniform-2"])
+    def test_apply_peak_memory_is_its_tables_and_a_tile(self, calls, points, bound, grid):
         # the segment sum holds the sample tables of both sides of 1/2
-        # (about 280 segments by 2 columns by 32 float64 values here), the
-        # longdouble temporaries of _TILE_ANCHORS table values, and one
-        # tile; no block, no log-factorial table, and nothing kept from
-        # one call to the next: measured 1.41 MiB for one call and for two
+        # (about 280 segments by 2 columns by 32 float64 values on the
+        # refined grid), the longdouble temporaries of _TILE_ANCHORS table
+        # values, one tile, and the tables of at most _ABSCISSA_BLOCK
+        # distinct abscissae; no block, no log-factorial table, and nothing
+        # kept from one call to the next: measured 1.84 MiB for one call
+        # and for two.  On 65,537 uniform points one block's tables take
+        # 1.2 MiB, and the folded abscissae, their index into the 32,769
+        # distinct ones, the sums and the result are arrays the size of
+        # the grid: measured 4.07 MiB (5.78 MiB when the logs and first
+        # anchors spanned all distinct abscissae at once), where one table
+        # for the whole grid would hold 8 MiB of powers
         n = 16384
         s = np.cos(0.37 * np.arange(n + 1))
+        xs = grid.points if points == "refined" else np.linspace(0.0, 1.0, 65537)
         tracemalloc.start()
         try:
             for _ in range(calls):
-                bernstein_apply(s, grid.points)
+                bernstein_apply(s, xs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 2**20, peak
+        assert peak <= bound * 2**20, peak
 
     def test_no_call_starts_a_thread(self, params, sw, grid, starts):
         # the lemma sweep's blocks, a row at a large degree and the

@@ -70,6 +70,14 @@ class TestExitCodes:
         assert code == 2
         assert "exponent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["n", "t"])
+    def test_empty_sweep_list(self, key, tmp_path, capsys):
+        # an empty list is named as such, not as a value out of range
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"xi": 0.5, "alpha": 1.0, key: []}))
+        assert run_cli(["inverse", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}_values must be non-empty\n")
+
     def test_pass_run(self, tmp_path):
         out = tmp_path / "r.csv"
         code = run_cli(["rates", *BASE, "--function", "inner-root",

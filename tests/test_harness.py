@@ -496,6 +496,22 @@ class TestErrorDecay:
         )
         assert -1.7 <= rep.fitted_slope <= -1.2
 
+    def test_nine_degrees_build_the_abscissa_tables_once(self, params, sw, grid, monkeypatch):
+        # every degree's operator sum reads one set of tables of the
+        # refined grid's 2,268 distinct min(x, 1 - x), built in one block
+        sizes = []
+
+        def counted(t, _build=basis._abscissae):
+            sizes.append(t.size)
+            return _build(t)
+
+        monkeypatch.setattr(basis, "_abscissae", counted)
+        n_values = tuple(64 << i for i in range(9))
+        rep = error_decay(_cfg(params, sw, function_name="inner-root", n_values=n_values))
+        assert len(rep.rows) == 9
+        inner = grid.points[(grid.points > 0.0) & (grid.points < 1.0)]
+        assert sizes == [np.unique(np.minimum(inner, 1.0 - inner)).size]
+
 
 class TestOperatorDump:
     def test_structure(self, params, sw):
