@@ -28,7 +28,8 @@ share one pass.  A term is an anchor p_{n,a}(x) times r^l times
 C(n, a + l) / C(n, a), and a row's first anchor takes ln C(n, a) from the
 segment steps: a tile is one gemm and row dots per column.  What depends
 on x alone (the fold, sort, logs and powers r^l) is built once per call
-for all its sample vectors, of any degrees (bernstein_apply_many).
+for all its sample vectors, of any degrees (bernstein_apply_many), and
+each vector's segment tables and steps once per call for all its blocks.
 """
 from __future__ import annotations
 
@@ -174,10 +175,8 @@ def _blocks(n: int, x: np.ndarray, exponent: float, out: np.ndarray) -> np.ndarr
         np.exp(v, out=v)
         # then 0.0 outside each row's own band: only the columns before
         # the last band start and from the first band end on
-        if e0 > c0:
-            np.copyto(v[:, : e0 - c0], 0.0, where=cols[: e0 - c0] < j0[:, None])
-        if e1 < c1:
-            np.copyto(v[:, e1 - c0 :], 0.0, where=cols[e1 - c0 :] >= j1[:, None])
+        np.copyto(v[:, : e0 - c0], 0.0, where=cols[: e0 - c0] < j0[:, None])
+        np.copyto(v[:, e1 - c0 :], 0.0, where=cols[e1 - c0 :] >= j1[:, None])
     # the log-space form leaves 0 * -inf = NaN where 0**0 = 1 is
     # meant; every other entry of an endpoint row is exp(-inf) = 0
     o[x == 0.0, 0] = 1.0
@@ -199,24 +198,29 @@ def basis_row(n: int, x: float) -> np.ndarray:
     return w
 
 
-def _segments(n: int, ss: tuple, qa: int, qb: int) -> tuple[np.ndarray, np.ndarray]:
-    """For the anchors a = _SEGMENT q, the table h[q - qa, j, l] =
-    ss[j][a + l] C(n, a + l) / C(n, a) (0 past n), q = qa..qb, and the
-    steps C(n, a + _SEGMENT) / C(n, a), q = 0..qb, in longdouble: per
-    segment a cumprod of (n - k)/(k + 1) from its own anchor, so no value
-    depends on qa or qb, _TILE_ANCHORS values at a time."""
-    a, size = _SEGMENT * qa, _SEGMENT * (qb - qa + 1)
-    h, steps = np.zeros((qb - qa + 1, len(ss), _SEGMENT)), np.empty(qb + 1, _LD)
+def _segments(ss: tuple, top: float) -> tuple:
+    """n and the tables of sample vectors ss of degree n for x in (0, top]:
+    for the anchors a = _SEGMENT q up to the segment of top's band end
+    (band ends grow with x on (0, 1/2]), h[q, j, l] = ss[j][a + l]
+    C(n, a + l) / C(n, a) (0 past n), and the steps C(n, a + _SEGMENT) /
+    C(n, a) and ln C(n, a), the compensated sum of the logs of the
+    (positive) steps before a, in longdouble: per segment a cumprod of
+    (n - k)/(k + 1) from its own anchor, so no value depends on top,
+    _TILE_ANCHORS values at a time."""
+    n = ss[0].size - 1
+    qb = int(_bands(n, top, _BAND_EXPONENT)[1]) // _SEGMENT
+    size = _SEGMENT * (qb + 1)
+    h, steps = np.zeros((qb + 1, len(ss), _SEGMENT)), np.empty(qb + 1, _LD)
     for j, s in enumerate(ss):
-        samples = s[a : a + size]
-        h[:, j].flat[: samples.size] = samples
-    for c in range(0, a + size, _TILE_ANCHORS):
-        k = np.arange(c, min(c + _TILE_ANCHORS, a + size), dtype=_LD).reshape(-1, _SEGMENT)
+        h[:, j].flat[: s.size] = s[:size]
+    for c in range(0, size, _TILE_ANCHORS):
+        k = np.arange(c, min(c + _TILE_ANCHORS, size), dtype=_LD).reshape(-1, _SEGMENT)
         g = np.cumprod(np.maximum(n - k, 0) / (k + 1), axis=1)
-        q = np.arange(c // _SEGMENT, c // _SEGMENT + g.shape[0])
+        q = slice(c // _SEGMENT, c // _SEGMENT + g.shape[0])
         steps[q] = g[:, -1]
-        h[q[q >= qa] - qa, :, 1:] *= g[q >= qa, None, :-1].astype(float)
-    return h, steps
+        h[q, :, 1:] *= g[:, None, :-1].astype(float)
+    run, comp = _neumaier(np.log(steps[:-1]), _LD(0.0), _LD(0.0))
+    return n, h, steps, run + comp
 
 
 def _abscissae(t: np.ndarray) -> tuple:
@@ -233,27 +237,24 @@ def _abscissae(t: np.ndarray) -> tuple:
     return t, np.log(tl), np.log1p(-tl), rl, p
 
 
-def _segment_sum(ss: tuple, tab: tuple) -> np.ndarray:
+def _segment_sum(seg: tuple, tab: tuple) -> np.ndarray:
     """res[i, j] = Sum_k ss[j][k] p_{n,k}(x[i]) over the whole segments
-    that cover each band, for sample vectors ss of one degree n and the
-    tables tab (_abscissae) of increasing x in (0, 1/2], r = x/(1-x) <= 1.
+    that cover each band, for the tables seg (_segments) of sample vectors
+    ss of degree n and tab (_abscissae) of increasing x in (0, top],
+    r = x/(1-x) <= 1.
 
     A term is p_{n,a}(x) r^l h[q, j, l] with a = _SEGMENT q: per tile of
-    rows, one gemm of the powers r^l against the stacked tables
-    (_segments) and one dot product of each row with its anchors
-    p_{n,a}(x) per column, the powers and anchors shared.  The first
-    anchor is the longdouble exp of its log-space exponent, with ln C(n, a)
-    the compensated sum of the logs of the (positive) steps before a, and
-    every later one the last times its step times r^_SEGMENT."""
+    rows, one gemm of the powers r^l against the stacked tables h and one
+    dot product of each row with its anchors p_{n,a}(x) per column, the
+    powers and anchors shared.  The first anchor is the longdouble exp of
+    its log-space exponent, with ln C(n, a) read from seg, and every later
+    one the last times its step times r^_SEGMENT."""
+    n, h, steps, lnc = seg
     x, lnx, ln1mx, rl, rs = tab
-    n = ss[0].size - 1
     q0, q1 = np.asarray(_bands(n, x, _BAND_EXPONENT)) // _SEGMENT
-    qa = int(q0.min())
-    h, steps = _segments(n, ss, qa, int(q1.max()))
-    run, comp = _neumaier(np.log(steps[: q0.max()]), _LD(0.0), _LD(0.0))
     a0 = _SEGMENT * q0
-    first = np.exp((run + comp)[q0] + a0 * lnx + (n - a0) * ln1mx)
-    res = np.empty((x.size, len(ss)))
+    first = np.exp(lnc[q0] + a0 * lnx + (n - a0) * ln1mx)
+    res = np.empty((x.size, h.shape[1]))
     b = 0
     while b < x.size:
         # the longest run of rows b..e-1, at least one, whose union ta..tb
@@ -263,7 +264,7 @@ def _segment_sum(ss: tuple, tab: tuple) -> np.ndarray:
         cost = np.maximum(tb - ta + 1, _SEGMENT) * np.arange(1, ta.size + 1)
         m = max(1, int(np.searchsorted(cost, _TILE_ANCHORS, "right")))
         e, ta, tb = b + m, int(ta[m - 1]), int(tb[m - 1])
-        y = rl[b:e] @ h[ta - qa : tb - qa + 1].reshape(-1, _SEGMENT).T
+        y = rl[b:e] @ h[ta : tb + 1].reshape(-1, _SEGMENT).T
         # the anchor chain: 1.0 before a row's first segment, so no row
         # depends on its tile-mates
         col = np.arange(ta, tb + 1)
@@ -284,28 +285,25 @@ def _banded_apply(ss: list, x: np.ndarray) -> list:
     """[Sum_k s[k] p_{n,k}(x) for s in ss] over the segments covering each
     band, for x in (0, 1), folded in place: x > 1/2 as 1 - x (exact there)
     on the reversed samples' column, and each distinct abscissa once, as a
-    gemm may round equal rows of a tile differently.  Its tables are built
-    once for all of ss.  The samples are scaled by a power of two below 1
-    in magnitude, so no partial sum overflows."""
+    gemm may round equal rows of a tile differently.  The tables of x are
+    built once for all of ss, those of each s (_segments) once per call.
+    The samples are scaled by a power of two below 1 in magnitude, so no
+    partial sum overflows."""
     right = x > 0.5
     np.subtract(1.0, x, out=x, where=right)
     tu = _distinct(x)
-    used = (not right.all(), bool(right.any()))
     es = [int(np.frexp(np.abs(s).max())[1]) for s in ss]
-    cols = [tuple(v for v, u in zip((s, s[::-1]), used) if u)
-            for s in map(np.ldexp, ss, [-e for e in es])]
-    res = [np.empty((tu.size, sum(used))) for _ in ss]
+    res = [np.empty((tu.size, 2)) for _ in ss]
     # powers and anchors far from a band underflow to 0.0, as they may
     with np.errstate(under="ignore"):
+        segs = [_segments((s, s[::-1]), tu[-1]) for s in map(np.ldexp, ss, [-e for e in es])]
         for b in range(0, tu.size, _ABSCISSA_BLOCK):
             tab = _abscissae(tu[b : b + _ABSCISSA_BLOCK])
-            for c, r in zip(cols, res):
-                r[b : b + _ABSCISSA_BLOCK] = _segment_sum(c, tab)
-    del tab  # before the grid-sized arrays of the gather
+            for seg, r in zip(segs, res):
+                r[b : b + _ABSCISSA_BLOCK] = _segment_sum(seg, tab)
+    del tab, segs  # before the grid-sized arrays of the gather
     # each x's row and column as one index into the flat sums
-    at = np.searchsorted(tu, x) * sum(used)
-    if all(used):
-        at += right
+    at = 2 * np.searchsorted(tu, x) + right
     return [np.ldexp(r.ravel()[at], e) for r, e in zip(res, es)]
 
 
@@ -337,10 +335,10 @@ def bernstein_apply(samples, x):
     above 1/2 as 1 - x, are sorted and cut into tiles, each one BLAS gemm
     and dot products per row, on the calling thread: a value's last bits
     depend on which abscissae the call holds, not on their order, repeats
-    or the CPUs.  A call costs O(n max min(x, 1 - x)) longdouble steps to
-    its first anchors per block of _ABSCISSA_BLOCK distinct abscissae
-    (28 ms for x = 0.5 at n = 2^20): pass x in one call, and the sample
-    vectors on one x in one bernstein_apply_many call, which builds the
-    tables of x once.
+    or the CPUs.  A call costs O(n max min(x, 1 - x)) longdouble steps and
+    float64 table values from segment 0 to its bands (34 ms and 18 MiB for
+    x = 0.5 at n = 2^20): pass x in one call, and the sample vectors on
+    one x in one bernstein_apply_many call, which builds the tables of x
+    once.
     """
     return bernstein_apply_many([samples], x)[0]

@@ -121,8 +121,6 @@ def knots(n: int, xi: float) -> Knots:
     i2 = math.floor(n * xi - s)
     i3 = math.floor(n * xi + s)
     i4 = math.floor(n * xi + 2.0 * s)
-    if i1 == i2 or i3 == i4:
-        raise InvalidDegree(f"n={n} too small for xi={xi}: knot collision")
     if i4 >= n:
         raise InvalidDegree(f"n={n} too small for xi={xi}: x4 >= 1")
     return Knots(n=n, x1=i1 / n, x2=i2 / n, x3=i3 / n, x4=i4 / n, i1=i1, i2=i2, i3=i3, i4=i4)

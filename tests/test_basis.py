@@ -555,6 +555,21 @@ class TestApplyMany:
         for s, g in zip(vectors, got):
             assert (g.view(np.uint64) == bernstein_apply(s, xs).view(np.uint64)).all()
 
+    def test_builds_each_vectors_tables_once(self, monkeypatch):
+        # 65,537 uniform points hold nine blocks of distinct abscissae;
+        # each sample vector's segment tables serve all nine
+        calls = []
+
+        def counted(ss, top, _build=basis._segments):
+            calls.append(ss[0].size)
+            return _build(ss, top)
+
+        monkeypatch.setattr(basis, "_segments", counted)
+        xs = np.linspace(0.0, 1.0, 65537)
+        vectors = [np.cos(0.37 * np.arange(1025)), np.sin(0.37 * np.arange(16385))]
+        bernstein_apply_many(vectors, xs)
+        assert calls == [1025, 16385]
+
     def test_scalar_empty_and_errors(self):
         vectors = [[1.0, 3.0], np.arange(5.0)]
         got = bernstein_apply_many(vectors, 0.5)
@@ -593,16 +608,19 @@ class TestBlockTiles:
                               (1, "uniform", 4.5), (2, "uniform", 4.5)],
                              ids=["1", "2", "uniform-1", "uniform-2"])
     def test_apply_peak_memory_is_its_tables_and_a_tile(self, calls, points, bound, grid):
-        # the segment sum holds the sample tables of both sides of 1/2
-        # (about 280 segments by 2 columns by 32 float64 values on the
-        # refined grid), the longdouble temporaries of _TILE_ANCHORS table
-        # values, one tile, and the tables of at most _ABSCISSA_BLOCK
-        # distinct abscissae; no block, no log-factorial table, and nothing
-        # kept from one call to the next: measured 1.84 MiB for one call
-        # and for two.  On 65,537 uniform points one block's tables take
-        # 1.2 MiB, and the folded abscissae, their index into the 32,769
-        # distinct ones, the sums and the result are arrays the size of
-        # the grid: measured 4.07 MiB (5.78 MiB when the logs and first
+        # the segment sum holds the sample tables of both sides of 1/2,
+        # built once per call from segment 0 to the band end of the
+        # largest min(x, 1 - x) (about 280 segments by 2 columns by 32
+        # float64 values), the longdouble temporaries of _TILE_ANCHORS
+        # table values, one tile, and the tables of at most
+        # _ABSCISSA_BLOCK distinct abscissae; no block, no log-factorial
+        # table, and nothing kept from one call to the next: measured
+        # 1.71 MiB for one call and for two (1.84 MiB when each block
+        # rebuilt the sample tables).  On 65,537 uniform points one
+        # block's abscissa tables take 1.2 MiB, and the folded abscissae,
+        # their index into the 32,769 distinct ones, the sums and the
+        # result are arrays the size of the grid: measured 4.08 MiB for
+        # one call and 4.09 MiB for two (5.78 MiB when the logs and first
         # anchors spanned all distinct abscissae at once), where one table
         # for the whole grid would hold 8 MiB of powers
         n = 16384

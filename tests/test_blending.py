@@ -84,6 +84,20 @@ class TestKnots:
                 for x, i in ((k.x1, k.i1), (k.x2, k.i2), (k.x3, k.i3), (k.x4, k.i4)):
                     assert x == i / n
 
+    def test_accepted_knots_are_ordered(self):
+        # every degree that knots accepts gives four distinct knots around
+        # xi: for n >= 2, sqrt(n) > 1 keeps i2 above i1 and i4 above i3
+        for xi in (0.05, 0.2, 0.37, 0.46, 0.5, 0.54, 0.63, 0.8, 0.95):
+            accepted = 0
+            for n in range(1, 5000):
+                try:
+                    k = knots(n, xi)
+                except InvalidDegree:
+                    continue
+                accepted += 1
+                assert k.x1 < k.x2 < xi < k.x3 < k.x4, (n, xi)
+            assert accepted > 1000, xi
+
     def test_too_small_degree(self):
         with pytest.raises(InvalidDegree):
             knots(16, 0.5)  # n*xi - 2 sqrt(n) = 0

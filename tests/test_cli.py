@@ -227,6 +227,32 @@ class TestExitCodes:
         assert "lemma5,skip,,need >= 4 degrees for a slope fit\n" in out
         assert err == ""
 
+    def test_lemmas_at_one_degree(self, capsys):
+        # one degree gives every trend test a single value: lemma 5 is a
+        # skip row and the other lemmas still pass
+        assert run_cli(["lemmas", "--xi", "0.5", "--alpha", "1", "--n", "64"]) == 0
+        out, err = capsys.readouterr()
+        assert "lemma5,skip,,need >= 4 degrees for a slope fit\n" in out
+        assert out.count("\n") == 9 and err == ""
+
+    @pytest.mark.parametrize("args, config, message", [
+        (["--n", "64:128", "--grid", "1"], None, "uniform grid needs at least 2 points"),
+        (["--n", "64:128"], {"format": "xml"}, "format must be 'csv' or 'json', got 'xml'"),
+        ([], {"n": [128, 64]}, "n_values must be strictly increasing"),
+    ], ids=["grid-1", "format-xml", "n-decreasing"])
+    def test_bad_setting_is_one_error_line(self, args, config, message, tmp_path, capsys):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args = [*args, "--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["rates", "--xi", "0.5", "--alpha", "1", *args])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {message}"]
+
     def test_inverse_too_few_t_values_fails_first(self, monkeypatch, capsys):
         # the modulus fit needs 4 scales; 3 are rejected before the curve
         from bernsing.harness import checks

@@ -91,6 +91,10 @@ class TestVarphiDelta:
         assert delta_n(100, 0.5) == pytest.approx(0.6, abs=1e-15)
         assert delta_n(4, 0.5) == pytest.approx(1.0, abs=1e-15)
 
+    def test_delta_rejects_degree_zero(self):
+        with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+            delta_n(0, 0.3)
+
     @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan])
     def test_domain(self, bad):
         # outside [0,1], and at NaN, sqrt(x (1-x)) would be a silent NaN
