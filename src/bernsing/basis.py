@@ -13,7 +13,7 @@ kernel reads one window rule, the Bernstein band of x at an exponent R
 hold whole rows, k = 0..n, and callers slice the indices they read.  An
 entry is the full-width value inside its row's band and 0.0 outside it:
 rows take R = 750, where float64 ``exp`` returns exactly 0.0 for every
-entry left out, and the lemma sweep R = 100 (see checks._SWEEP_EXPONENT).
+entry left out, and the lemma sweep R = 60 (see checks._SWEEP_EXPONENT).
 A block is assembled once, between the lowest band start and the
 highest band end of its rows, on the calling thread; an entry goes
 through the same operations whichever rows share the call, so no bit

@@ -231,11 +231,14 @@ def _pow(base: np.ndarray, p: float) -> np.ndarray:
 
 
 # The lemma sweep's blocks hold each row's Bernstein band at this
-# exponent (basis._bands) and 0.0 outside it.  The row mass left out is at
-# most 2 e^-100 ~ 7.4e-44; times the largest factor a lemma applies to an
-# entry, d^3 <= n^3 ~ 1.1e9 at n = 1024, a row's sum moves by under 1e-34,
-# some 27 orders below the last bit of any lemma constant.
-_SWEEP_EXPONENT = 100.0
+# exponent (basis._bands) and 0.0 outside it.  The rule: the band leaves
+# out at most 1e-24 of any row's weighted sum, 8 orders below half a
+# float64 ulp, for the largest weight a lemma puts on an entry,
+# |k - n x|^3 (lemma 4, gamma = 3).  At 60 the worst such tail (40
+# digits, n = 64..65536, x in [0.1, 0.9]) is 10^-24.9 of the row's sum
+# (n = 65536, x = 0.1); lemma 1's and the plain mass's are below 10^-27.
+# At 50 it would be 10^-20.5.
+_SWEEP_EXPONENT = 60.0
 
 # Values per lemma-sweep chunk (256 KiB), the one row grouping of the sweep:
 # every term reads each block row on its own, so it is only a memory budget.

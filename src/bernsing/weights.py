@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .basis import _check_x, _distinct
+from .basis import _check_degree, _check_x, _distinct
 from .blending import TestFunction, _evaluate
 
 __all__ = [
@@ -88,10 +88,8 @@ def varphi(x):
 
 def delta_n(n: int, x):
     """varphi(x) + 1/sqrt(n), the local resolution scale at degree n."""
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n!r}")
-    val = varphi(x) + 1.0 / math.sqrt(n)
-    return val
+    n = _check_degree(n)
+    return varphi(x) + 1.0 / math.sqrt(n)
 
 
 _EXCLUSION_RADIUS = 1e-12

@@ -450,13 +450,13 @@ class TestSweepBands:
         _blocks(n, x, _SWEEP_EXPONENT, np.empty((1, n + 1)))
         assert seen and sum(seen) <= hi - lo + 1, (seen, lo, hi)
 
-    @pytest.mark.parametrize("n", [64, 1024, 16384])
-    @pytest.mark.parametrize("x", [1e-10, 0.013, 0.37, 0.5])
-    def test_mass_outside_the_band_within_bernstein_bound(self, n, x):
-        # 40-digit tails: the first term past each band edge from log-gamma,
-        # then the ratio recurrence outward.  Past the mode the ratios fall
-        # below 1 and keep falling, so a tail stops once a term is below
-        # 1e-250 (the rest is smaller still)
+    @staticmethod
+    def _outside(n, x, weight):
+        """The 40-digit sum of p_k(x) weight(k) over the k outside the band
+        of x at _SWEEP_EXPONENT: the first term past each band edge from
+        log-gamma, then the ratio recurrence outward.  Past the mode the
+        ratios fall below 1 and keep falling, so a tail stops once a term
+        p_k is below 1e-250 (the rest is smaller still)"""
         (lo,), (hi,) = _bands(n, np.array([x]), _SWEEP_EXPONENT)
         with mpmath.workdps(40):
             xm = mpmath.mpf(x)
@@ -467,15 +467,34 @@ class TestSweepBands:
                                   - mpmath.loggamma(n - k + 1)
                                   + k * mpmath.log(xm) + (n - k) * mpmath.log1p(-xm))
 
-            mass = mpmath.mpf(0)
+            total = mpmath.mpf(0)
             for k, step in ((hi + 1, 1), (lo - 1, -1)):
                 term = p(k) if 0 <= k <= n else 0
                 while 0 <= k <= n and term > 1e-250:
-                    mass += term
+                    total += term * weight(k)
                     # p_{k+1} = p_k (n - k) r / (k + 1), p_{k-1} = p_k k / ((n - k + 1) r)
                     term *= ((n - k) * r / (k + 1) if step > 0 else k / ((n - k + 1) * r))
                     k += step
-            assert mass <= 2 * mpmath.exp(-_SWEEP_EXPONENT), mass
+            return total
+
+    @pytest.mark.parametrize("n", [64, 1024, 16384])
+    @pytest.mark.parametrize("x", [1e-10, 0.013, 0.37, 0.5])
+    def test_mass_outside_the_band_within_bernstein_bound(self, n, x):
+        mass = self._outside(n, x, lambda k: 1)
+        assert mass <= 2 * mpmath.exp(-_SWEEP_EXPONENT), mass
+
+    @pytest.mark.parametrize("n", [64, 1024, 16384])
+    @pytest.mark.parametrize("x", [0.1, 0.37, 0.5, 0.9])
+    def test_weighted_tail_outside_the_band_below_1e24(self, n, x):
+        # the rule behind _SWEEP_EXPONENT: the band leaves out at most
+        # 1e-24 of a row's sum weighted by |k - n x|^3, the largest weight
+        # a lemma puts on an entry (lemma 4, gamma = 3).  The worst case
+        # here is 10^-25.2 (n = 16384, x = 0.1); an exponent of 50 gives
+        # 10^-20.8
+        c = n * mpmath.mpf(x)
+        tail = self._outside(n, x, lambda k: abs(k - c) ** 3)
+        full = np.dot(basis_row(n, x), np.abs(np.arange(n + 1) - n * x) ** 3)
+        assert tail <= 1e-24 * full, (tail, full)
 
 
 @pytest.fixture

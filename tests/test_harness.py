@@ -427,6 +427,24 @@ class TestLemmaSuiteOneSweep:
             assert got[key] == want[key], key
 
 
+class TestSweepBandOffCentre:
+    @pytest.mark.parametrize("xi, alpha, name, alpha0", [
+        (0.35, 2.0, "smooth-bump", None),
+        (0.61, 0.5, "inner-cusp", 1.5),
+    ])
+    def test_equals_full_width_blocks(self, sw, xi, alpha, name, alpha0, monkeypatch):
+        # the default sweep off the centre, on the band at _SWEEP_EXPONENT,
+        # gives the results of blocks that hold every entry a row keeps
+        # (basis._ROW_EXPONENT), result for result
+        cfg = _cfg(WeightParams(xi=xi, alpha=alpha), sw, function_name=name, alpha0=alpha0)
+        got = lemma_suite(cfg)
+        monkeypatch.setattr(checks, "_SWEEP_EXPONENT", basis._ROW_EXPONENT)
+        want = lemma_suite(cfg)
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key] == want[key], key
+
+
 class TestLemma5:
     def test_zero_mass_is_not_a_skip(self, params):
         # wbar underflows the window mass to 0.0 at a large alpha (500 at

@@ -92,8 +92,14 @@ class TestVarphiDelta:
         assert delta_n(4, 0.5) == pytest.approx(1.0, abs=1e-15)
 
     def test_delta_rejects_degree_zero(self):
-        with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="degree must be an integer >= 1, got 0"):
             delta_n(0, 0.3)
+
+    def test_delta_rejects_a_fractional_degree(self):
+        # the degree rule of basis_row: 64.0 is degree 64, 64.5 no degree
+        assert delta_n(64.0, 0.3) == delta_n(64, 0.3)
+        with pytest.raises(ValueError, match="degree must be an integer >= 1, got 64.5"):
+            delta_n(64.5, 0.3)
 
     @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan])
     def test_domain(self, bad):
