@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .exceptions import InvalidDegree
+
 __all__ = ["basis_row", "bernstein_apply", "bernstein_apply_many"]
 
 _LD = np.longdouble
@@ -103,9 +105,12 @@ _ABSCISSA_BLOCK = 1 << 12
 
 
 def _check_degree(n: int) -> int:
-    """n as an int, at least 1; a float-valued integer such as 64.0 is accepted."""
+    """n as an int, at least 1; a float-valued integer such as 64.0 is
+    accepted.  Raises InvalidDegree otherwise."""
+    if not -np.inf < n < np.inf:  # NaN fails this too
+        raise InvalidDegree(f"degree must be finite, got {n!r}")
     if n < 1 or int(n) != n:
-        raise ValueError(f"degree must be an integer >= 1, got {n!r}")
+        raise InvalidDegree(f"degree must be an integer >= 1, got {n!r}")
     return int(n)
 
 

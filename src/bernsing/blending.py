@@ -9,7 +9,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .basis import _check_x
+from .basis import _check_degree, _check_x
 from .exceptions import InvalidDegree, MissingDerivative
 
 __all__ = ["Knots", "TestFunction", "psi", "psi_d", "knots", "bridge_p", "fbar", "fbar_d2"]
@@ -110,8 +110,7 @@ def knots(n: int, xi: float) -> Knots:
     zones would collapse or leave (0,1), which would silently corrupt
     rate experiments if clamped instead.
     """
-    if n < 1 or int(n) != n:
-        raise InvalidDegree(f"degree must be a positive integer, got {n!r}")
+    n = _check_degree(n)
     if not 0.0 < xi < 1.0:
         raise ValueError(f"xi must lie in (0,1), got {xi!r}")
     s = math.sqrt(n)

@@ -2,7 +2,8 @@
 
 
 class InvalidDegree(ValueError):
-    """Degree n is too small for the requested singularity location."""
+    """Degree n is not a finite integer >= 1, or too small for the
+    requested singularity location."""
 
 
 class MissingDerivative(ValueError):

@@ -141,8 +141,8 @@ def _theorem_setup(cfg: ExperimentConfig, check: str):
 
 def _fit(n_values, seq) -> RateReport:
     """The degree-sweep report of seq: fit_rate's when it can be fitted (at
-    least 4 points, all positive), else its values as rows, with no slope."""
-    if len(seq) >= 4 and all(v > 0.0 for v in seq):
+    least 4 points, all positive and finite), else its values as rows, no slope."""
+    if len(seq) >= 4 and all(0.0 < v < math.inf for v in seq):
         return fit_rate(list(zip(n_values, seq)), scale_name="n")
     rows = tuple(RateRow(float(n), v, 0.0, 0.0) for n, v in zip(n_values, seq))
     return RateReport("n", rows, None, None, (), 0.0, "pass", 0.0)
@@ -241,41 +241,8 @@ def _pow(base: np.ndarray, p: float) -> np.ndarray:
 _SWEEP_EXPONENT = 60.0
 
 # Values per lemma-sweep chunk (256 KiB), the one row grouping of the sweep:
-# every term reads each block row on its own, so it is only a memory budget.
+# every lemma reads each block row on its own, so it is only a memory budget.
 _BLOCK_VALUES = 1 << 15
-
-
-def _sweep(cfg, x, terms: list) -> dict:
-    """Grid max per degree of every labelled term, one sequence over
-    cfg.n_values per label.
-
-    For each n the basis block over all indices 0..n is built chunk by
-    chunk of the abscissae x, each row on its band at _SWEEP_EXPONENT,
-    into one buffer that serves the whole sweep.  A term is
-    (labels, span, fn): span is the slice of x it reads, and fn maps
-    (n, rows, block) to one value per block row and label, where rows
-    indexes x[span] and the block's columns are the indices 0..n; fn
-    slices the indices its lemma sums over.  The values go into one
-    table per degree, a row per label and a column per abscissa (-inf
-    outside the label's span), and each label's max is taken once.
-    """
-    labels = [label for t in terms for label in t[0]]
-    at = np.cumsum([0] + [len(t[0]) for t in terms])
-    best = np.empty((len(labels), len(cfg.n_values)))
-    table = np.empty((len(labels), x.size))
-    rows = [min(max(1, _BLOCK_VALUES // (n + 1)), x.size) for n in cfg.n_values]
-    buf = np.empty(max(m * (n + 1) for n, m in zip(cfg.n_values, rows)))
-    for j, (n, m) in enumerate(zip(cfg.n_values, rows)):
-        table.fill(-math.inf)
-        for a in range(0, x.size, m):
-            block = _blocks(n, x[a : a + m], _SWEEP_EXPONENT, buf[: m * (n + 1)].reshape(m, n + 1))
-            for (names, span, term), i in zip(terms, at):
-                lo, hi = max(a, span.start), min(a + m, span.stop)
-                if lo < hi:
-                    got = term(n, slice(lo - span.start, hi - span.start), block[lo - a : hi - a])
-                    table[i : i + len(names), lo:hi] = got
-        table.max(axis=1, out=best[:, j])
-    return dict(zip(labels, best.tolist()))
 
 
 def _verdict(name: str, seqs: dict) -> LemmaResult:
@@ -289,61 +256,73 @@ def _verdict(name: str, seqs: dict) -> LemmaResult:
 
 def _basis_lemmas(cfg, grid, f) -> dict:
     """Lemmas 1, 2, 4, 5 and 6 from one basis sweep: their labelled
-    sequences keyed by lemma.  Lemmas 2 and 5 read the whole grid,
-    lemmas 1, 4 and 6 its points in [0.1, 0.9]."""
+    sequences, each the grid max per degree, keyed by lemma.
+
+    For each n the basis block over all indices 0..n is built chunk by
+    chunk of about _BLOCK_VALUES values, rows c..e of the grid, each row
+    on its band at _SWEEP_EXPONENT, into one buffer sized for the largest
+    degree.  Lemmas 2 and 5 write every row, lemmas 1, 4 and 6 the rows
+    in [i0, i1), the grid points in [0.1, 0.9].  The values go into one
+    table, a row per label and a column per abscissa, filled with -inf
+    per degree, and each label's max is taken once per degree.  Every
+    lemma sums each block row on its own with np.vecdot, as a 1-d np.dot
+    does; a matrix product would sum in another order and move the trend
+    statistic of ratios that equal 1 to rounding (lemma 4, gamma = 2).
+    """
     x = grid.points
-    whole = slice(0, x.size)
-    inner = slice(int(np.searchsorted(x, 0.1)), int(np.searchsorted(x, 0.9, "right")))
-    xs, a = x[inner], cfg.params.alpha
+    i0, i1 = int(np.searchsorted(x, 0.1)), int(np.searchsorted(x, 0.9, "right"))
+    xs, a = x[i0:i1], cfg.params.alpha
     phi, wb = varphi(xs), _pow(np.abs(x - cfg.params.xi), a)
     w = wbar(cfg.params, x)
     nwf = weighted_sup_norm(f, cfg.params, grid)
-    samples = {n: build_operator(f, n, cfg.params).fbar_samples for n in cfg.n_values}
-
-    def inverse(u, v):
-        den = _pow(xs, -u) * _pow(1.0 - xs, -v)
-        weights = {n: _inverse_weights(n, u, v) for n in cfg.n_values}
-        return lambda n, rows, block: np.vecdot(block[:, 1:n], weights[n]) / den[rows]
-
+    samples = [build_operator(f, n, cfg.params).fbar_samples for n in cfg.n_values]
     gammas, betas = (1.0, 2.0, 3.0), (1.0, 2.0)  # of lemmas 4 and 6
-    near = {n: _window(n, cfg.params.xi) for n in cfg.n_values}  # of lemmas 5 and 6
-    den, wbi = {g: _pow(phi, g) for g in gammas}, wb[inner]  # betas are gammas too
+    den = {g: _pow(phi, g) for g in gammas}  # betas are gammas too
     # lemma 6's bound n^((beta - alpha)/2) phi^beta underflows at a large alpha
     for n in cfg.n_values:
         if any(n ** ((b - a) / 2) * np.min(den[b], initial=math.inf) == 0.0 for b in betas):
             raise ValueError(f"lemma 6: the bound n^((beta - alpha)/2) phi^beta underflows "
                              f"to 0.0 at n={n}, alpha={a:g}")
-
-    def moments(n, rows, block):
-        """Lemma 4 over 0..n and lemma 6 near xi from one table d = |k - n x|
-        per chunk.  np.vecdot sums each row as a 1-d np.dot does; a
-        matrix product would sum in another order and move the trend
-        statistic of ratios that equal 1 to rounding (lemma 4, gamma = 2)."""
-        klo, khi = near[n]
-        d = np.arange(n + 1, dtype=float) - n * xs[rows, None]
-        np.abs(d, out=d)
-        four, six = [], []
-        for g in gammas:
-            # d ** 1.0 is a copy of d, with the same bits
-            p = d if g == 1.0 else d ** g
-            four.append(np.vecdot(block, p) / (n ** (g / 2) * den[g][rows]))
-            if g in betas:
-                sb = np.vecdot(block[:, klo : khi + 1], p[:, klo : khi + 1])
-                six.append(wbi[rows] * sb / (n ** ((g - a) / 2) * den[g][rows]))
-        return four + six
-
-    # (labels, abscissae, per-row values per label); lemma 1 sums the
-    # interior indices 1..n-1, lemma 5 those within sqrt(n) of n xi
-    terms = [([("lemma1", f"(u={u:g},v={v:g})")], inner, inverse(u, v))
-             for u, v in ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0))]
-    terms.append(([("lemma2", f"{f.name}:")], whole,
-                  lambda n, rows, block: w[rows] * np.abs(np.vecdot(block, samples[n])) / nwf))
-    terms.append(([("lemma4", f"gamma={g:g}") for g in gammas]
-                  + [("lemma6", f"beta={b:g}") for b in betas], inner, moments))
-    terms.append(([("lemma5", "mass")], whole,
-                  lambda n, rows, block: wb[rows] * block[:, near[n][0] : near[n][1] + 1].sum(1)))
+    uvs = ((0.5, 0.0), (1.0, 0.0), (1.0, 1.0))  # of lemma 1
+    inv_den = [_pow(xs, -u) * _pow(1.0 - xs, -v) for u, v in uvs]
+    # the table's rows: lemma 1 0..2, lemma 2 3, lemma 4 4..6, lemma 6 7..8, lemma 5 9
+    labels = ([("lemma1", f"(u={u:g},v={v:g})") for u, v in uvs] + [("lemma2", f"{f.name}:")]
+              + [("lemma4", f"gamma={g:g}") for g in gammas]
+              + [("lemma6", f"beta={b:g}") for b in betas] + [("lemma5", "mass")])
+    best, table = np.empty((len(labels), len(cfg.n_values))), np.empty((len(labels), x.size))
+    rows = [min(max(1, _BLOCK_VALUES // (n + 1)), x.size) for n in cfg.n_values]
+    buf = np.empty(max(m * (n + 1) for n, m in zip(cfg.n_values, rows)))
+    for j, (n, m, fbar) in enumerate(zip(cfg.n_values, rows, samples)):
+        weights = [_inverse_weights(n, u, v) for u, v in uvs]
+        # lemma 1 sums the interior indices 1..n-1, lemmas 5 and 6 those
+        # within sqrt(n) of n xi
+        klo, khi = _window(n, cfg.params.xi)
+        table.fill(-math.inf)
+        for c in range(0, x.size, m):
+            e = min(c + m, x.size)
+            block = _blocks(n, x[c:e], _SWEEP_EXPONENT, buf[: m * (n + 1)].reshape(m, n + 1))
+            table[3, c:e] = w[c:e] * np.abs(np.vecdot(block, fbar)) / nwf
+            table[9, c:e] = wb[c:e] * block[:, klo : khi + 1].sum(1)
+            lo, hi = max(c, i0), min(e, i1)
+            if lo >= hi:
+                continue
+            inner, r = block[lo - c : hi - c], slice(lo - i0, hi - i0)
+            for t in range(3):
+                table[t, lo:hi] = np.vecdot(inner[:, 1:n], weights[t]) / inv_den[t][r]
+            # lemma 4 over 0..n and lemma 6 near xi from one table d = |k - n x|
+            d = np.arange(n + 1, dtype=float) - n * xs[r, None]
+            np.abs(d, out=d)
+            for t, g in enumerate(gammas):
+                # d ** 1.0 is a copy of d, with the same bits
+                p = d if g == 1.0 else d ** g
+                table[4 + t, lo:hi] = np.vecdot(inner, p) / (n ** (g / 2) * den[g][r])
+                if g in betas:
+                    sb = np.vecdot(inner[:, klo : khi + 1], p[:, klo : khi + 1])
+                    table[7 + t, lo:hi] = wb[lo:hi] * sb / (n ** ((g - a) / 2) * den[g][r])
+            del d, p  # not held through the next chunk's _blocks
+        table.max(axis=1, out=best[:, j])
     seqs = {}
-    for (name, label), seq in _sweep(cfg, x, terms).items():
+    for (name, label), seq in zip(labels, best.tolist()):
         seqs.setdefault(name, {})[label] = seq
     return seqs
 

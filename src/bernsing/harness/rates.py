@@ -56,15 +56,15 @@ class LemmaResult:
 def fit_rate(pairs, scale_name: str = "scale") -> RateReport:
     """Least-squares slope of ln(value) against ln(scale).
 
-    Needs at least 4 pairs with positive entries.  Row references are
+    Needs at least 4 pairs with positive finite entries.  Row references are
     the fitted power law, so row ratios read as multiplicative
     residuals.
     """
     pts = [(float(s), float(v)) for s, v in pairs]
     if len(pts) < 4:
         raise ValueError(f"need at least 4 pairs to fit a rate, got {len(pts)}")
-    if any(s <= 0.0 or v <= 0.0 for s, v in pts):
-        raise ValueError("rate fitting needs positive scales and values")
+    if not all(0.0 < s < math.inf and 0.0 < v < math.inf for s, v in pts):  # NaN fails too
+        raise ValueError("rate fitting needs positive finite scales and values")
     ls = np.log([s for s, _ in pts])
     lv = np.log([v for _, v in pts])
     m = ls.size

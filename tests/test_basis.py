@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bernsing import basis
+from bernsing import InvalidDegree, basis
 from bernsing.basis import (
     _ROW_EXPONENT,
     _bands,
@@ -95,6 +95,12 @@ class TestBasisValue:
 
 
 class TestBasisRow:
+    @pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan])
+    def test_non_finite_degree_rejected(self, n):
+        # inf used to raise OverflowError, NaN numpy's integer conversion error
+        with pytest.raises(InvalidDegree, match="degree must be finite"):
+            basis_row(n, 0.3)
+
     def test_frozen_examples(self):
         np.testing.assert_allclose(basis_row(1, 0.25), [0.75, 0.25], rtol=1e-14)
         np.testing.assert_allclose(basis_row(3, 0.0), [1, 0, 0, 0], atol=0)

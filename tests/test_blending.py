@@ -110,6 +110,16 @@ class TestKnots:
         with pytest.raises(InvalidDegree):
             knots(0, 0.5)
 
+    def test_degree_rule_of_the_basis(self):
+        # knots takes basis_row's degree rule: inf used to raise
+        # OverflowError and NaN numpy's integer conversion error
+        for n in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidDegree, match="degree must be finite"):
+                knots(n, 0.5)
+        with pytest.raises(InvalidDegree, match="degree must be an integer >= 1, got 64.5"):
+            knots(64.5, 0.5)
+        assert knots(64.0, 0.5) == knots(64, 0.5)
+
 
 class TestTestFunction:
     def test_alpha0_range(self):

@@ -183,6 +183,21 @@ class TestFitRate:
         with pytest.raises(ValueError):
             fit_rate([(1.0, 1.0), (2.0, 0.0), (3.0, 3.0), (4.0, 4.0)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN used to pass the positivity check and give slope NaN, inf
+        # the same with a RuntimeWarning
+        with pytest.raises(ValueError, match="finite"):
+            fit_rate([(1.0, 1.0), (2.0, bad), (4.0, 3.0), (8.0, 4.0)])
+        with pytest.raises(ValueError, match="finite"):
+            fit_rate([(1.0, 1.0), (bad, 2.0), (4.0, 3.0), (8.0, 4.0)])
+
+    def test_fit_reports_an_infinite_value_without_a_slope(self):
+        # a ratio that overflows gets the no-slope report, not a fit error
+        rep = checks._fit((64, 128, 256, 512), [1.0, math.inf, 3.0, 4.0])
+        assert rep.fitted_slope is None
+        assert [r.measured for r in rep.rows] == [1.0, math.inf, 3.0, 4.0]
+
 
 class TestSequenceRules:
     def test_kendall_tau(self):

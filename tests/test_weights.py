@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bernsing import (
+    InvalidDegree,
     EvalGrid,
     StepWeight,
     TestFunction,
@@ -100,6 +101,11 @@ class TestVarphiDelta:
         assert delta_n(64.0, 0.3) == delta_n(64, 0.3)
         with pytest.raises(ValueError, match="degree must be an integer >= 1, got 64.5"):
             delta_n(64.5, 0.3)
+
+    @pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan])
+    def test_delta_rejects_a_non_finite_degree(self, n):
+        with pytest.raises(InvalidDegree, match="degree must be finite"):
+            delta_n(n, 0.3)
 
     @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan])
     def test_domain(self, bad):
