@@ -220,14 +220,13 @@ def inverse_check(cfg: ExperimentConfig) -> RateReport:
 
 
 def _pow(base: np.ndarray, p: float) -> np.ndarray:
-    """base ** p one element at a time, by libm pow on Python floats.
-    numpy's array pow can round the last bit differently, which would
-    move the printed constants: on an AVX-512 host (numpy 2.4, SIMD pow),
-    over the refined grids of 41 xi in [0.3, 0.7], it differs from the
-    scalar calls for wbar at 28,663 of 1,070,832 abscissae (alpha in 0.5,
-    1, ..., 3) and for varphi^3 and t^-0.5 at 7,901 and 7,960 of 139,686
-    in [0.1, 0.9]; this form at none.  Only the pow needs to be scalar."""
-    return np.array([b**p for b in base.tolist()])
+    """base ** p with the bits of the scalar b ** p: np.float_power calls
+    libm pow per element.  numpy's SIMD array pow (`**`) can round the last
+    bit otherwise, which would move the printed constants: on an AVX-512
+    host (numpy 2.4), over the refined grids of 41 xi in [0.3, 0.7], it
+    differs for wbar at 28,663 of 1,070,832 abscissae (alpha in 0.5, 1,
+    ..., 3) and for varphi^3 and t^-0.5 at 7,901 and 7,960 of 139,686."""
+    return np.float_power(base, p)
 
 
 # The lemma sweep's blocks hold each row's Bernstein band at this

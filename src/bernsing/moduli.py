@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .blending import TestFunction, _evaluate
 from .exceptions import Degenerate
@@ -123,13 +124,13 @@ def quadrature_bound_ratio(sw: StepWeight, t: float, x: float) -> float:
         raise ValueError(f"t must lie in (0, 1/4), got {t!r}")
     if not t < x < 1.0 - t:
         raise ValueError(f"x must lie in (t, 1-t), got {x!r}")
-    u = np.linspace(-t / 2.0, t / 2.0, _PANELS + 1)
     wu = np.full(_PANELS + 1, t / _PANELS)
-    wu[0] *= 0.5
-    wu[-1] *= 0.5
-    y = x + u[:, None] + u[None, :]
+    wu[[0, -1]] *= 0.5
     with np.errstate(over="ignore", divide="ignore"):
-        integral = float(wu @ step_weight(sw, y) ** -2.0 @ wu)
+        # node (i, j) is x + s[i + j] for the s below: phi^-2 once per anti-
+        # diagonal, summed over a Hankel copy (the strided view sums otherwise)
+        g = step_weight(sw, x + np.linspace(-t, t, 2 * _PANELS + 1)) ** -2.0
+        integral = float(wu @ sliding_window_view(g, _PANELS + 1).copy() @ wu)
         # a numpy power gives inf where a float power raises OverflowError
         weight = float(np.float64(step_weight(sw, x)) ** -2.0)
     if not (0.0 < integral < np.inf and 0.0 < weight < np.inf):

@@ -2,14 +2,16 @@
 
 Most of this is a from-scratch reimplementation (exact binomials,
 explicit four-sum operator, finite differences) kept deliberately
-separate from the library's evaluation paths.  Two parts are not: the
+separate from the library's evaluation paths.  Three parts are not: the
 log-binomial table that full_width_block reads, for the reason in its
-docstring, and the scalar sums (basis_value to lemma6_sum), which slice
-the indices they sum over from one whole row of basis_row.  The lemma
-sweep reads whole blocks through moment tables of its own, so they check
-it one abscissa at a time.  The last row is kept: a caller that runs all
-its sums at one (n, x) before the next builds each row once, and no more
-than one row is held.
+docstring; the scalar sums (basis_value to lemma6_sum), which slice
+the indices they sum over from one whole row of basis_row; and
+quadrature_ratio_2d, which calls step_weight at every node of the full
+grid, the reference for the bits of the library's anti-diagonal form.
+The lemma sweep reads whole blocks through moment tables of its own, so
+the scalar sums check it one abscissa at a time.  The last row is kept:
+a caller that runs all its sums at one (n, x) before the next builds
+each row once, and no more than one row is held.
 """
 import math
 from functools import lru_cache
@@ -19,7 +21,7 @@ import numpy as np
 
 from bernsing.basis import _check_degree, _inverse_weights, basis_row
 from bernsing.harness.checks import _window
-from bernsing.weights import wbar
+from bernsing.weights import step_weight, wbar
 
 
 def naive_basis(n, k, x):
@@ -46,6 +48,35 @@ def mp_row(n, x, dps=40):
         for k in range(n):
             row.append(row[-1] * (n - k) / (k + 1) * r)
     return row
+
+
+def quadrature_ratio_2d(sw, t, x, panels):
+    """quadrature_bound_ratio as a composite trapezoid on the full
+    (panels + 1)^2 node grid: phi^-2 at (x + u_i) + u_j for every pair of
+    nodes u_i, u_j in [-t/2, t/2], summed by wu @ (grid) @ wu."""
+    u = np.linspace(-t / 2.0, t / 2.0, panels + 1)
+    wu = np.full(panels + 1, t / panels)
+    wu[0] *= 0.5
+    wu[-1] *= 0.5
+    integral = float(wu @ step_weight(sw, x + u[:, None] + u[None, :]) ** -2.0 @ wu)
+    return integral / (t * t * float(np.float64(step_weight(sw, x)) ** -2.0))
+
+
+def mp_quadrature_ratio(beta0, beta1, t, x, dps=30):
+    """The exact ratio the trapezoid approximates: the double integral of
+    phi^-2(x + u + v) over [-t/2, t/2]^2, which is the triangle-kernel
+    integral of (t - |s|) phi^-2(x + s) over [-t, t], over t^2 phi^-2(x),
+    with phi(y) = y^beta0 (1 - y)^beta1, by mpmath quadrature split at the
+    kink s = 0, t and x at their exact binary values."""
+    with mpmath.workdps(dps):
+        t, x = mpmath.mpf(t), mpmath.mpf(x)
+        b0, b1 = 2 * mpmath.mpf(beta0), 2 * mpmath.mpf(beta1)
+
+        def inv_phi2(y):
+            return y**-b0 * (1 - y) ** -b1
+
+        integral = mpmath.quad(lambda s: (t - abs(s)) * inv_phi2(x + s), [-t, 0, t])
+        return integral / (t * t * inv_phi2(x))
 
 
 def ln_fact_loop(n):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ from bernsing import (
     step_weight,
     wbar,
 )
-from bernsing.harness import ExperimentConfig
+from bernsing import moduli
+from bernsing.harness import ExperimentConfig, checks
 from bernsing.harness.checks import sequence_verdict
 from bernsing.harness.corpus import corpus
 from bernsing.harness.rates import fit_rate
-from bernsing.moduli import T_MAX, _admissible
+from bernsing.moduli import _PANELS, T_MAX, _admissible
+
+from oracles import mp_quadrature_ratio, quadrature_ratio_2d
 
 T_LADDER = tuple(2.0**-k for k in range(9, 2, -1))
 
@@ -193,3 +197,61 @@ class TestQuadratureBound:
         with pytest.raises(ValueError):
             quadrature_bound_ratio(sw, 0.125, 0.1)
 
+
+
+@pytest.fixture(scope="module")
+def lemma3_points():
+    """The (t, x) points at which lemma 3 asks for the ratio."""
+    points = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "quadrature_bound_ratio", lambda sw, t, x: points.append((t, x)) or 1.0)
+        checks._lemma3(SimpleNamespace(sw=StepWeight(0.5, 0.5)))
+    assert len(points) == 49
+    return points
+
+
+class TestQuadratureHankelForm:
+    """The ratio evaluates phi^-2 once per anti-diagonal of the node grid;
+    oracles.quadrature_ratio_2d evaluates it at every node."""
+
+    BETAS = ((0.5, 0.5), (1.0, 1.0), (0.5, 1.0), (2.0, 0.5), (0.0, 0.0))
+
+    def test_bits_of_the_full_grid_on_lemma3_points(self, lemma3_points):
+        # lemma 3's t are dyadic, so (x + u_i) + u_j rounds to the same
+        # float as x + s_(i+j) and both forms sum the same values
+        for beta in self.BETAS:
+            sw = StepWeight(*beta)
+            for t, x in lemma3_points:
+                got, want = quadrature_bound_ratio(sw, t, x), quadrature_ratio_2d(sw, t, x, _PANELS)
+                assert got == want, (beta, t, x, got, want)
+
+    def test_full_grid_to_rounding_elsewhere(self):
+        # at other t the two node sets differ by rounding (largest
+        # measured change 3.6e-16)
+        rng = np.random.default_rng(31)
+        for beta in self.BETAS:
+            sw = StepWeight(*beta)
+            for t in [0.1, *rng.uniform(0.01, 0.24, 12)]:
+                x = rng.uniform(t, 1.0 - t)
+                want = quadrature_ratio_2d(sw, t, x, _PANELS)
+                assert abs(quadrature_bound_ratio(sw, t, x) - want) <= 1e-15 * want, (beta, t, x)
+
+    def test_one_abscissa_per_anti_diagonal(self, sw, monkeypatch):
+        # 2 * _PANELS + 1 nodes and x itself, not (_PANELS + 1)^2 nodes
+        sizes = []
+
+        def counting(s, x):
+            sizes.append(np.size(x))
+            return step_weight(s, x)
+
+        monkeypatch.setattr(moduli, "step_weight", counting)
+        quadrature_bound_ratio(sw, 0.125, 0.5)
+        assert sorted(sizes) == [1, 2 * _PANELS + 1]
+
+    def test_trapezoid_against_the_exact_integral(self, lemma3_points):
+        # lemma 3's constant is the 257-panel trapezoid's value, not the
+        # integral to 17 digits: the largest measured error is 7.59e-6
+        sw = StepWeight(0.5, 0.5)
+        for t, x in lemma3_points:
+            exact = mp_quadrature_ratio(0.5, 0.5, t, x)
+            assert abs(quadrature_bound_ratio(sw, t, x) / exact - 1) <= 1e-5, (t, x)
