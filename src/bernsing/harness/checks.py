@@ -91,11 +91,13 @@ def _window(n: int, xi: float) -> tuple[int, int]:
 
 
 def _error_fields(f: TestFunction, n_values, params: WeightParams, grid: EvalGrid) -> list:
-    """error_field at each degree, every operator summed in one call."""
+    """error_field at each degree: every operator summed in one call, wbar
+    and f evaluated once on the grid (a failure of f names the first degree)."""
     x = grid.points
     sums = bernstein_apply_many([build_operator(f, n, params).fbar_samples for n in n_values], x)
-    return [_evaluate(f, f"in the error field of degree {n}",
-                      lambda: wbar(params, x) * np.abs(f.eval(x) - b))
+    w = wbar(params, x)
+    fx = _evaluate(f, f"in the error field of degree {n_values[0]}", lambda: f.eval(x))
+    return [_evaluate(f, f"in the error field of degree {n}", lambda: w * np.abs(fx - b))
             for n, b in zip(n_values, sums)]
 
 

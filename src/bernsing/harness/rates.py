@@ -56,9 +56,9 @@ class LemmaResult:
 def fit_rate(pairs, scale_name: str = "scale") -> RateReport:
     """Least-squares slope of ln(value) against ln(scale).
 
-    Needs at least 4 pairs with positive finite entries.  Row references are
-    the fitted power law, so row ratios read as multiplicative
-    residuals.
+    Needs at least 4 pairs with positive finite entries and two distinct
+    scales.  Row references are the fitted power law, so row ratios read
+    as multiplicative residuals.
     """
     pts = [(float(s), float(v)) for s, v in pairs]
     if len(pts) < 4:
@@ -66,6 +66,8 @@ def fit_rate(pairs, scale_name: str = "scale") -> RateReport:
     if not all(0.0 < s < math.inf and 0.0 < v < math.inf for s, v in pts):  # NaN fails too
         raise ValueError("rate fitting needs positive finite scales and values")
     ls = np.log([s for s, _ in pts])
+    if ls.min() == ls.max():
+        raise ValueError("rate fitting needs at least two distinct scales")
     lv = np.log([v for _, v in pts])
     m = ls.size
     sxx = float(np.sum((ls - ls.mean()) ** 2))

@@ -68,21 +68,6 @@ def _admissible(x, off, xi, exclusion):
             & (np.abs(x + off - xi) > tube) & (np.abs(x - off - xi) > tube))
 
 
-def _weighted_diff_max(f, params, sw, grid, h):
-    """Grid sup of |wbar * second difference| at one step h, or None
-    when every grid point is inadmissible."""
-    x = grid.points
-    off = h * step_weight(sw, x)
-    ok = _admissible(x, off, params.xi, grid.exclusion_radius)
-    if not ok.any():
-        return None
-    xa = x[ok]
-    oa = off[ok]
-    vals = _evaluate(f, "in a second difference", lambda: wbar(params, xa) * np.abs(
-        f.eval(xa + oa) - 2.0 * f.eval(xa) + f.eval(xa - oa)))
-    return float(vals.max())
-
-
 def _ladder(anchor: float, h_steps: int) -> np.ndarray:
     ratio = 0.01 ** (1.0 / (h_steps - 1))
     return anchor * ratio ** np.arange(h_steps)
@@ -99,12 +84,21 @@ def modulus_curve(f: TestFunction, params: WeightParams, sw: StepWeight,
     construction and each ladder is evaluated once.  (h, x) pairs that
     _admissible rejects are skipped; at the first anchor where every pair
     so far was rejected the sup is undefined and Degenerate is raised.
+    phi, wbar and 2 f are evaluated once on the whole grid, f also where no
+    admissible step reaches; each step evaluates f at its two translates.
     """
+    x = cfg.x_grid.points
+    phi, w = step_weight(sw, x), wbar(params, x)
+    f2 = _evaluate(f, "in a second difference", lambda: 2.0 * f.eval(x))
     curve, best = [], None
     for t in cfg.t_values:
         for h in _ladder(t, cfg.h_steps):
-            m = _weighted_diff_max(f, params, sw, cfg.x_grid, h)
-            if m is not None:
+            off = h * phi
+            ok = _admissible(x, off, params.xi, cfg.x_grid.exclusion_radius)
+            if ok.any():
+                xa, oa = x[ok], off[ok]
+                m = float(_evaluate(f, "in a second difference", lambda: w[ok] * np.abs(
+                    f.eval(xa + oa) - f2[ok] + f.eval(xa - oa))).max())
                 best = m if best is None else max(best, m)
         if best is None:
             raise Degenerate(f"no admissible (h, x) pair at t={t!r}")

@@ -2,12 +2,14 @@
 
 Most of this is a from-scratch reimplementation (exact binomials,
 explicit four-sum operator, finite differences) kept deliberately
-separate from the library's evaluation paths.  Three parts are not: the
+separate from the library's evaluation paths.  Four parts are not: the
 log-binomial table that full_width_block reads, for the reason in its
 docstring; the scalar sums (basis_value to lemma6_sum), which slice
-the indices they sum over from one whole row of basis_row; and
+the indices they sum over from one whole row of basis_row;
 quadrature_ratio_2d, which calls step_weight at every node of the full
-grid, the reference for the bits of the library's anti-diagonal form.
+grid, the reference for the bits of the library's anti-diagonal form;
+and per_step_modulus_curve, which reads the library's stencil rule and,
+unless given its own, its step ladder.
 The lemma sweep reads whole blocks through moment tables of its own, so
 the scalar sums check it one abscissa at a time.  The last row is kept:
 a caller that runs all its sums at one (n, x) before the next builds
@@ -20,7 +22,9 @@ import mpmath
 import numpy as np
 
 from bernsing.basis import _check_degree, _inverse_weights, basis_row
+from bernsing.exceptions import Degenerate
 from bernsing.harness.checks import _window
+from bernsing.moduli import _admissible, _ladder
 from bernsing.weights import step_weight, wbar
 
 
@@ -289,3 +293,27 @@ def five_point_second(g, x, h):
     return (
         -g(x + 2.0 * h) + 16.0 * g(x + h) - 30.0 * g(x) + 16.0 * g(x - h) - g(x - 2.0 * h)
     ) / (12.0 * h * h)
+
+
+def per_step_modulus_curve(f, params, sw, cfg, ladder=_ladder):
+    """modulus_curve as one pass per step h, each evaluating step_weight
+    on the grid and wbar, f(x) and f at the two translates on the
+    admissible points afresh, and summing f(x + off) - 2 f(x) + f(x - off)
+    in that order: the bit reference of the driver, which evaluates phi,
+    wbar and 2 f once per curve.  ladder(t, h_steps) gives the steps at
+    anchor t."""
+    x = cfg.x_grid.points
+    curve, best = [], None
+    for t in cfg.t_values:
+        for h in ladder(t, cfg.h_steps):
+            off = h * step_weight(sw, x)
+            ok = _admissible(x, off, params.xi, cfg.x_grid.exclusion_radius)
+            if ok.any():
+                xa, oa = x[ok], off[ok]
+                m = float(np.max(wbar(params, xa) * np.abs(
+                    f.eval(xa + oa) - 2.0 * f.eval(xa) + f.eval(xa - oa))))
+                best = m if best is None else max(best, m)
+        if best is None:
+            raise Degenerate(f"no admissible (h, x) pair at t={t!r}")
+        curve.append(best)
+    return np.array(curve)

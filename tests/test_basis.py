@@ -606,6 +606,21 @@ class TestApplyMany:
             bernstein_apply_many([[1.0, 2.0]], 1.5)
 
 
+class TestMomentIdentities:
+    # the first three moments of the Bernstein operator in closed form,
+    # at every abscissa of the refined grid.  Largest measured relative
+    # error 4.3e-15 at n = 2^16 and 6.7e-14 at 2^20; a band at
+    # _BAND_EXPONENT = 10 reads 6.6e-6
+
+    @pytest.mark.parametrize(("n", "bound"), [(1 << 16, 1.5e-14), (1 << 20, 2e-13)])
+    def test_first_three_moments(self, n, bound, grid):
+        x, k = grid.points, np.arange(n + 1) / n
+        want = [x, x**2 + x * (1 - x) / n,
+                x**3 + 3 * x**2 * (1 - x) / n + x * (1 - x) * (1 - 2 * x) / n**2]
+        for r, (got, w) in enumerate(zip(bernstein_apply_many([k, k**2, k**3], x), want), 1):
+            assert (np.abs(got - w) <= bound * w).all(), (n, r)
+
+
 class TestBlockTiles:
     # A caller may hand _blocks any consecutive rows, one call after
     # another on the calling thread.  Every entry sees the same operations

@@ -194,6 +194,11 @@ class TestFitRate:
         with pytest.raises(ValueError, match="finite"):
             fit_rate([(1.0, 1.0), (bad, 2.0), (4.0, 3.0), (8.0, 4.0)])
 
+    def test_scales_that_do_not_spread_rejected(self):
+        # one scale made the slope 0 / 0: NaN with a RuntimeWarning
+        with pytest.raises(ValueError, match="two distinct scales"):
+            fit_rate([(2.0, 1.0), (2.0, 2.0), (2.0, 3.0), (2.0, 4.0)])
+
     def test_fit_reports_an_infinite_value_without_a_slope(self):
         # a ratio that overflows gets the no-slope report, not a fit error
         rep = checks._fit((64, 128, 256, 512), [1.0, math.inf, 3.0, 4.0])

@@ -13,17 +13,19 @@ from bernsing import (
     WeightParams,
     quadrature_bound_ratio,
     modulus_curve,
+    refined_grid,
     step_weight,
     wbar,
 )
 from bernsing import moduli
 from bernsing.harness import ExperimentConfig, checks
 from bernsing.harness.checks import sequence_verdict
+from bernsing.harness.config import DEFAULT_T_VALUES
 from bernsing.harness.corpus import corpus
 from bernsing.harness.rates import fit_rate
 from bernsing.moduli import _PANELS, T_MAX, _admissible
 
-from oracles import mp_quadrature_ratio, quadrature_ratio_2d
+from oracles import mp_quadrature_ratio, per_step_modulus_curve, quadrature_ratio_2d
 
 T_LADDER = tuple(2.0**-k for k in range(9, 2, -1))
 
@@ -175,6 +177,89 @@ class TestWeightedModulus:
         for bad in (8.5, math.nan, math.inf):
             with pytest.raises(ValueError, match="h_steps"):
                 ModulusConfig(x_grid=light_grid, t_values=(0.125,), h_steps=bad)
+
+
+class TestDriverOracle:
+    """modulus_curve evaluates phi, wbar and 2 f once per curve and f at
+    the two translates per step; oracles.per_step_modulus_curve makes one
+    full pass per step."""
+
+    # (xi, alpha, function, alpha0, beta): the CLI default, and the
+    # configs where the sub-anchor rungs of the ladders carry the sup
+    CONFIGS = [(0.5, 1.0, "inner-root", None, (0.5, 0.5)),
+               (0.3, 1.0, "inner-root", None, (1.0, 1.0)),
+               (0.5, 0.5, "inner-cusp", 1.5, (0.5, 0.5))]
+
+    @staticmethod
+    def _setup(xi, alpha, name, alpha0, beta):
+        params = WeightParams(xi=xi, alpha=alpha)
+        return corpus(name, params, alpha0), params, StepWeight(*beta), refined_grid(params)
+
+    @pytest.mark.parametrize("h_steps", [12, 16])
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_bits_of_the_per_step_driver(self, config, h_steps):
+        f, params, sw, grid = self._setup(*config)
+        cfg = _cfg(grid, ts=DEFAULT_T_VALUES, h_steps=h_steps)
+        got = modulus_curve(f, params, sw, cfg)
+        assert np.array_equal(got, per_step_modulus_curve(f, params, sw, cfg))
+
+    def test_degenerate_as_the_per_step_driver(self, params):
+        g = EvalGrid(points=np.array([1.0 - 1e-8]), exclusion_radius=1e-12)
+        f, sw = corpus("quadratic", params), StepWeight(0.0, 0.0)
+        cfg = ModulusConfig(x_grid=g, t_values=(0.0625, 0.125), h_steps=8)
+        messages = []
+        for driver in (modulus_curve, per_step_modulus_curve):
+            with pytest.raises(Degenerate) as e:
+                driver(f, params, sw, cfg)
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
+
+    def test_two_decade_ladder(self):
+        # here the grid sup is not monotone in h: a one-decade ladder
+        # reads up to 10.8% off and the anchors alone 15.5% low.  The
+        # oracle builds its own ladder, whose steps may differ from the
+        # library's in the last bit
+        f, params, sw, grid = self._setup(*self.CONFIGS[1])
+        cfg = _cfg(grid, ts=DEFAULT_T_VALUES)
+        want = per_step_modulus_curve(f, params, sw, cfg,
+                                      lambda t, h: t * 0.01 ** (np.arange(h) / (h - 1)))
+        np.testing.assert_allclose(modulus_curve(f, params, sw, cfg), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("where", ["light", "edge"])
+    def test_grid_factors_once_per_curve(self, params, sw, light_grid, monkeypatch, where):
+        # f on the grid once and at the two translates of each admissible
+        # step; at 0.998 every step of the second ladder leaves [0,1]
+        calls = {"step_weight": 0, "wbar": 0, "eval": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(moduli, "step_weight", counted("step_weight", step_weight))
+        monkeypatch.setattr(moduli, "wbar", counted("wbar", wbar))
+        g = corpus("quadratic", params)
+        f = TestFunction(eval=counted("eval", g.eval), name="counted")
+        if where == "light":
+            cfg, steps = _cfg(light_grid, h_steps=8), len(T_LADDER) * 8
+        else:
+            cfg, steps, sw = _cfg(_point(0.998), ts=(0.001, 0.25), h_steps=8), 8, StepWeight(0, 0)
+        modulus_curve(f, params, sw, cfg)
+        assert calls == {"step_weight": 1, "wbar": 1, "eval": 1 + 2 * steps}
+
+    def test_error_fields_read_the_grid_once(self, params, light_grid, monkeypatch):
+        on_grid, weights = [], []
+        monkeypatch.setattr(checks, "wbar", lambda p, x: weights.append(x) or wbar(p, x))
+        g = corpus("inner-root", params)
+
+        def counted(t):
+            on_grid.append(t is light_grid.points)
+            return g.eval(t)
+
+        f = TestFunction(eval=counted, name=g.name)
+        fields = checks._error_fields(f, (64, 128, 256), params, light_grid)
+        assert len(fields) == 3 and sum(on_grid) == 1 and len(weights) == 1
 
 
 class TestQuadratureBound:
