@@ -13,8 +13,9 @@ with another.  A record whose old text no longer occurs fails the run, so
 the table is kept in step with the source.  The exit status is 0 only
 when every named record is caught.
 
-A record with a CLI catcher is caught by a CLI verdict; one without is
-caught only by structural tests, and its note says which CLI commands
+A record with a CLI catcher is caught by a CLI verdict (exit 0 or 1), or
+by a CLI error (exit 2) where the command reports one instead; one without
+is caught only by structural tests, and its note says which CLI commands
 still pass.  pytest does not collect this file (it is not test_*.py).
 """
 from __future__ import annotations
@@ -43,7 +44,9 @@ class Mutant:
 
     @property
     def caught_by(self) -> str:
-        return "a CLI verdict" if self.cli else "structural tests only"
+        if self.cli is None:
+            return "structural tests only"
+        return "a CLI error" if self.cli[1] == 2 else "a CLI verdict"
 
 
 MUTANTS = (
@@ -72,7 +75,8 @@ MUTANTS = (
         old="best = m if best is None else max(best, m)",
         new="best = m",
         tests=("tests/test_moduli.py::TestSecondDifference::test_square_identity",
-               "tests/test_moduli.py::TestDriverOracle::test_bits_of_the_per_step_driver"),
+               "tests/test_moduli.py::TestDriverOracle::test_bits_of_the_per_step_driver",
+               "tests/test_moduli.py::TestWeightedModulus::test_monotone_in_t_by_construction"),
         note="lemmas, direct, inverse and rates still exit 0 at xi 0.5 and 0.47; "
              "the modulus-dense numbers move",
     ),
@@ -92,7 +96,8 @@ MUTANTS = (
         new="lambda: np.where(lattice == params.xi, fbar(f, k, lattice),\n"
             "                               f.eval(np.where(lattice == params.xi, 0.0, lattice))))",
         tests=("tests/test_acceptance.py::TestCriterion2OracleEquivalence::test_c2_four_sum_oracle",
-               "tests/test_operator.py::TestBuildOperator::test_never_evaluates_f_inside_bridge"),
+               "tests/test_operator.py::TestBuildOperator::test_never_evaluates_f_inside_bridge",
+               "tests/test_acceptance.py::TestCriterion10BridgeAblation::test_c10_bridge_ablation"),
         note="the classical operator, f sampled at every lattice point but the one on xi: "
              "14 Tier-1 tests fail, while lemmas, direct and inverse still exit 0 at xi 0.5 "
              "and 0.47",
@@ -102,6 +107,77 @@ MUTANTS = (
         file="bernsing/basis.py",
         old="_BAND_EXPONENT = 40.0",
         new="_BAND_EXPONENT = 10.0",
+        tests=("tests/test_basis.py::TestMomentIdentities::test_first_three_moments",),
+        note="every CLI command at xi 0.5 and 0.47 still exits 0",
+    ),
+    Mutant(
+        id="sweep-exponent-30",
+        file="bernsing/harness/checks.py",
+        old="_SWEEP_EXPONENT = 60.0",
+        new="_SWEEP_EXPONENT = 30.0",
+        tests=("tests/test_basis.py::TestSweepBands::test_weighted_tail_outside_the_band_below_1e24",),
+        note="every CLI command at xi 0.5 and 0.47 still exits 0",
+    ),
+    Mutant(
+        id="no-band-mask",
+        file="bernsing/basis.py",
+        old="        np.copyto(v[:, : e0 - c0], 0.0, where=cols[: e0 - c0] < j0[:, None])\n",
+        new="",
+        tests=("tests/test_basis.py::TestSweepBands::test_blocks_are_the_full_width_block_on_each_band",),
+        note="every CLI command at xi 0.5 and 0.47 still exits 0",
+    ),
+    Mutant(
+        id="table-reset-per-chunk",
+        file="bernsing/harness/checks.py",
+        old="        table.fill(-math.inf)\n        for c in range(0, x.size, m):\n",
+        new="        for c in range(0, x.size, m):\n            table.fill(-math.inf)\n",
+        tests=("tests/test_harness.py::TestLemmaSuiteOneSweep::test_any_chunk_gives_the_same_bits",),
+        cli=(("lemmas", "--xi", "0.5", "--alpha", "1"), 2),
+        note="lemmas reports an error (exit 2: lemma 5's window mass is 0.0), not "
+             "a failed check; direct, inverse and rates still exit 0 at xi 0.5 and "
+             "0.47",
+    ),
+    Mutant(
+        id="fit-reference-scaled",
+        file="bernsing/harness/rates.py",
+        old="ref = math.exp(intercept) * s**slope",
+        new="ref = 1.001 * math.exp(intercept) * s**slope",
+        tests=("tests/test_harness.py::TestFitRate::test_exact_power_law",),
+        note="every CLI command at xi 0.5 and 0.47 still exits 0",
+    ),
+    Mutant(
+        id="knots-half-width",
+        file="bernsing/blending.py",
+        old="    s = math.sqrt(n)\n",
+        new="    s = 0.5 * math.sqrt(n)\n",
+        tests=("tests/test_acceptance.py::TestCriterion2OracleEquivalence::test_c2_four_sum_oracle",),
+        note="every CLI command at xi 0.5 and 0.47 still exits 0",
+    ),
+    Mutant(
+        id="all-clipped-exemption",
+        file="bernsing/harness/checks.py",
+        old="if scales[n][live[i]] > T_MAX:",
+        new="if scales[n][live[i]] > T_MAX >= smallest:",
+        tests=("tests/test_cli.py::TestExitCodes::test_direct_with_every_local_scale_clipped",),
+        cli=(("direct", "--xi", "0.5", "--alpha", "1", "--function", "smooth-bump",
+              "--beta0", "2", "--beta1", "2"), 0),
+        note="the clipped-scale failure skipped when every local scale is above "
+             "T_MAX: this direct then exits 0 at n 64:1024 and 1 at 64:2048",
+    ),
+    Mutant(
+        id="row-exponent-10",
+        file="bernsing/basis.py",
+        old="_ROW_EXPONENT = 750.0",
+        new="_ROW_EXPONENT = 10.0",
+        tests=("tests/test_basis.py::TestExactZeroWindow::test_row_band_edges_equal_full_width",
+               "tests/test_basis.py::TestMomentIdentities::test_row_identities"),
+        note="every CLI command at xi 0.5 and 0.47 still exits 0",
+    ),
+    Mutant(
+        id="band-variance-without-n",
+        file="bernsing/basis.py",
+        old="2.0 * r * n * x * (1.0 - x)",
+        new="2.0 * r * x * (1.0 - x)",
         tests=("tests/test_basis.py::TestMomentIdentities::test_first_three_moments",),
         note="every CLI command at xi 0.5 and 0.47 still exits 0",
     ),

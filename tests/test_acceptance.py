@@ -39,6 +39,7 @@ from bernsing.harness.checks import (
     MAX_OVER_MIN,
     SLOPE_TOL,
     _window,
+    error_field,
     lemma_suite,
     sequence_verdict,
 )
@@ -330,4 +331,36 @@ class TestCriterion9Cli:
             "9-cli",
             ok,
             f"exit0={code0},{code0b} identical={identical} exit2={code2} exit1={code1}",
+        )
+
+
+class TestCriterion10BridgeAblation:
+    # n = 1024 and xi = 1/2 + d/n, so the lattice point k = 512 lies d/n from
+    # the singularity.  The classical operator samples f(k/n) there, and its
+    # weighted error grows like d^(-alpha/2); the bridged operator never
+    # samples inside the bridge, so its error does not depend on d.  At
+    # xi = 0.3 the classical error is the smaller one, so no gate here
+    # claims that the bridge always wins
+    N = 1024
+    DS = (0.5, 0.01, 1e-4)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_c10_bridge_ablation(self, alpha):
+        n = self.N
+        bridged, classical = [], []
+        for d in self.DS:
+            params = WeightParams(xi=0.5 + d / n, alpha=alpha)
+            grid = refined_grid(params)
+            x = grid.points
+            f = corpus("inner-root", params)
+            bridged.append(float(error_field(f, n, params, grid).max()))
+            b = bernstein_apply(f.eval(np.arange(n + 1) / n), x)
+            classical.append(float(np.max(wbar(params, x) * np.abs(f.eval(x) - b))))
+        spread = max(bridged) / min(bridged)
+        slope = math.log(classical[2] / classical[1]) / math.log(self.DS[2] / self.DS[1])
+        _report(
+            f"10-bridge-ablation[alpha={alpha:g}]",
+            spread <= 1.01 and abs(slope + alpha / 2) <= SLOPE_TOL,
+            f"bridged spread over d {spread:.4f} <= 1.01, classical slope in d {slope:.3f} "
+            f"(target {-alpha / 2:g} +- {SLOPE_TOL:g})",
         )

@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import bernsing
 from bernsing import InvalidDegree, basis
 from bernsing.basis import (
     _ROW_EXPONENT,
@@ -620,6 +621,26 @@ class TestMomentIdentities:
         for r, (got, w) in enumerate(zip(bernstein_apply_many([k, k**2, k**3], x), want), 1):
             assert (np.abs(got - w) <= bound * w).all(), (n, r)
 
+    @pytest.mark.parametrize("n", [1 << 10, 1 << 16])
+    @pytest.mark.parametrize("x", [0.013, 0.1, 0.37, 0.5, 0.9])
+    def test_row_identities(self, n, x):
+        # basis_row's mass, second and third central moments, and de
+        # Moivre's mean absolute deviation 2 nu (1 - x) p_{n,nu}(x) with
+        # nu = floor(n x) + 1.  The third moment vanishes at x = 1/2 and is
+        # compared there against v^1.5.  Largest measured relative errors
+        # at 2^16: 3.0e-14, 3.0e-14, 4.3e-13 and 1.9e-14; rows at
+        # _ROW_EXPONENT = 10 read 6.7e-6, 1.5e-4, 1.0e-2 and 3.9e-5
+        p = basis_row(n, x)
+        d = np.arange(n + 1) - n * x
+        v = n * x * (1 - x)
+        nu = math.floor(n * x) + 1
+        third, mad = v * (1 - 2 * x), 2 * nu * (1 - x) * p[nu]
+        checks = [(p.sum(), 1.0, 1.0, 1e-13), ((d * d) @ p, v, v, 1e-13),
+                  ((d**3) @ p, third, abs(third) or v**1.5, 2e-12),
+                  (np.abs(d) @ p, mad, mad, 1e-13)]
+        for i, (got, want, scale, bound) in enumerate(checks):
+            assert abs(got - want) <= bound * scale, (i, got, want)
+
 
 class TestBlockTiles:
     # A caller may hand _blocks any consecutive rows, one call after
@@ -830,8 +851,9 @@ class TestFloatValuedDegree:
 
 
 class TestBlasThreadDefault:
-    # importing bernsing sets one OpenBLAS thread unless the user set one
-    SRC = str(Path(__file__).resolve().parents[1] / "src")
+    # importing bernsing sets one OpenBLAS thread unless the user set one;
+    # the children import the tree the suite imported, which may be a copy
+    SRC = str(Path(bernsing.__file__).resolve().parents[1])
 
     def _imported(self, preset):
         env = dict(os.environ, PYTHONPATH=self.SRC)

@@ -97,6 +97,12 @@ class TestWeightedModulus:
         cfg = _cfg(_point(0.998), ts=(0.001, 0.25), h_steps=8)
         curve = modulus_curve(g, params, StepWeight(0.0, 0.0), cfg)
         assert curve[0] > 0.0 and curve[1] == curve[0]
+        # here the sixth anchor's own ladder reads 15.8% below the fifth
+        # anchor's, so only the running max keeps the curve monotone
+        off = WeightParams(xi=0.3, alpha=1.0)
+        cfg = _cfg(refined_grid(off, uniform=1025, cluster=128), ts=DEFAULT_T_VALUES)
+        curve = modulus_curve(corpus("inner-root", off), off, StepWeight(0.5, 0.5), cfg)
+        assert (np.diff(curve) >= 0.0).all()
 
     def test_curve_matches_pointwise_calls(self, params, sw, light_grid):
         # the curve over the first k anchors is the first k entries of
