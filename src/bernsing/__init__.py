@@ -27,7 +27,7 @@ from .moduli import (
     quadrature_bound_ratio,
     modulus_curve,
 )
-from .operator import OperatorInstance, bbar_apply, bbar_second, build_operator
+from .operator import bbar_second, build_operator
 from .weights import (
     EvalGrid,
     StepWeight,

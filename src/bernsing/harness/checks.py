@@ -71,16 +71,16 @@ def kendall_tau(values) -> float:
     return conc / (m * (m - 1) / 2)
 
 
-def sequence_verdict(ratios, max_over_min: float = MAX_OVER_MIN) -> tuple[bool, str]:
+def sequence_verdict(ratios) -> tuple[bool, str]:
     """Pass rule for a bounded-constant sweep: spread within a factor
-    max_over_min, and no monotone growth trend (Kendall tau above
+    MAX_OVER_MIN, and no monotone growth trend (Kendall tau above
     TAU_LIMIT with more than TREND_SLACK accumulated growth)."""
     r = np.asarray(ratios, dtype=float)
     if not np.isfinite(r).all() or (r <= 0).any():
         return False, "non-finite or non-positive ratio"
     spread = float(r.max() / r.min())
     tau = kendall_tau(r)
-    ok = spread <= max_over_min and not (tau > TAU_LIMIT and spread > TREND_SLACK)
+    ok = spread <= MAX_OVER_MIN and not (tau > TAU_LIMIT and spread > TREND_SLACK)
     return ok, f"max/min={spread:.3g} tau={tau:.2f}"
 
 
@@ -94,7 +94,7 @@ def _error_fields(f: TestFunction, n_values, params: WeightParams, grid: EvalGri
     """error_field at each degree: every operator summed in one call, wbar
     and f evaluated once on the grid (a failure of f names the first degree)."""
     x = grid.points
-    sums = bernstein_apply_many([build_operator(f, n, params).fbar_samples for n in n_values], x)
+    sums = bernstein_apply_many([build_operator(f, n, params) for n in n_values], x)
     w = wbar(params, x)
     fx = _evaluate(f, f"in the error field of degree {n_values[0]}", lambda: f.eval(x))
     return [_evaluate(f, f"in the error field of degree {n}", lambda: w * np.abs(fx - b))
@@ -277,7 +277,7 @@ def _basis_lemmas(cfg, grid, f) -> dict:
     phi, wb = varphi(xs), _pow(np.abs(x - cfg.params.xi), a)
     w = wbar(cfg.params, x)
     nwf = weighted_sup_norm(f, cfg.params, grid)
-    samples = [build_operator(f, n, cfg.params).fbar_samples for n in cfg.n_values]
+    samples = [build_operator(f, n, cfg.params) for n in cfg.n_values]
     gammas, betas = (1.0, 2.0, 3.0), (1.0, 2.0)  # of lemmas 4 and 6
     den = {g: _pow(phi, g) for g in gammas}  # betas are gammas too
     # lemma 6's bound n^((beta - alpha)/2) phi^beta underflows at a large alpha
@@ -420,13 +420,13 @@ def operator_dump(cfg: ExperimentConfig) -> dict:
     """Knots and spliced samples of the largest configured degree."""
     n = cfg.n_values[-1]
     f = corpus(cfg.function_name, cfg.params, cfg.alpha0)
-    op = build_operator(f, n, cfg.params)
-    k = op.knots
+    samples = build_operator(f, n, cfg.params)
+    k = knots(n, cfg.params.xi)
     return {
         "function": f.name,
         "n": n,
         "xi": cfg.params.xi,
         "alpha": cfg.params.alpha,
         "knots": {"x1": k.x1, "x2": k.x2, "x3": k.x3, "x4": k.x4},
-        "samples": [float(s) for s in op.fbar_samples],
+        "samples": [float(s) for s in samples],
     }

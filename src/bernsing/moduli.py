@@ -9,7 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .blending import TestFunction, _evaluate
 from .exceptions import Degenerate
-from .weights import EvalGrid, StepWeight, WeightParams, step_weight, wbar
+from .weights import _EXCLUSION_RADIUS, EvalGrid, StepWeight, WeightParams, step_weight, wbar
 
 __all__ = [
     "ModulusConfig",
@@ -59,12 +59,12 @@ def _check_t_values(t_values) -> None:
         raise ValueError("t_values must be strictly increasing")
 
 
-def _admissible(x, off, xi, exclusion):
+def _admissible(x, off, xi):
     """True where the stencil x - off, x, x + off lies in [0,1], x clears
-    the exclusion tube around xi (absolute radius ``exclusion``) and the
-    translates clear it widened to REL_STEP_TUBE * off."""
-    tube = np.maximum(exclusion, REL_STEP_TUBE * off)
-    return ((x + off <= 1.0) & (x - off >= 0.0) & (np.abs(x - xi) > exclusion)
+    the exclusion tube around xi (radius _EXCLUSION_RADIUS, as the grid)
+    and the translates clear it widened to REL_STEP_TUBE * off."""
+    tube = np.maximum(_EXCLUSION_RADIUS, REL_STEP_TUBE * off)
+    return ((x + off <= 1.0) & (x - off >= 0.0) & (np.abs(x - xi) > _EXCLUSION_RADIUS)
             & (np.abs(x + off - xi) > tube) & (np.abs(x - off - xi) > tube))
 
 
@@ -94,7 +94,7 @@ def modulus_curve(f: TestFunction, params: WeightParams, sw: StepWeight,
     for t in cfg.t_values:
         for h in _ladder(t, cfg.h_steps):
             off = h * phi
-            ok = _admissible(x, off, params.xi, cfg.x_grid.exclusion_radius)
+            ok = _admissible(x, off, params.xi)
             if ok.any():
                 xa, oa = x[ok], off[ok]
                 m = float(_evaluate(f, "in a second difference", lambda: w[ok] * np.abs(

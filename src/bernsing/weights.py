@@ -59,10 +59,9 @@ class StepWeight:
 @dataclass(frozen=True, eq=False)
 class EvalGrid:
     """Strictly increasing abscissae in [0,1], none inside the
-    exclusion tube around the singularity."""
+    exclusion tube of radius _EXCLUSION_RADIUS around the singularity."""
 
     points: np.ndarray
-    exclusion_radius: float
 
 
 def wbar(params: WeightParams, x):
@@ -119,7 +118,7 @@ def refined_grid(
     pts = pts[(pts >= 0.0) & (pts <= 1.0)]
     pts = pts[np.abs(pts - params.xi) > _EXCLUSION_RADIUS]
     pts.flags.writeable = False
-    return EvalGrid(points=pts, exclusion_radius=_EXCLUSION_RADIUS)
+    return EvalGrid(points=pts)
 
 
 def weighted_sup_norm(f: TestFunction, params: WeightParams, grid: EvalGrid) -> float:

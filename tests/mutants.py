@@ -7,7 +7,8 @@ must catch it.
 For each record the runner copies src/ into a temporary directory,
 replaces the record's old text, which must occur exactly once in its
 file, by its new text, and runs only the record's catchers against the
-copy: its tests with ``pytest -x``, which must fail, and its CLI command,
+copy: its tests in one pytest run, each of which must be reported FAILED
+(a parametrized test by at least one of its cases), and its CLI command,
 which must exit with the record's code where the unmutated source exits
 with another.  A record whose old text no longer occurs fails the run, so
 the table is kept in step with the source.  The exit status is 0 only
@@ -38,7 +39,7 @@ class Mutant:
     file: str  # under src/
     old: str
     new: str
-    tests: tuple = ()  # pytest node ids; the first failure catches the mutant
+    tests: tuple = ()  # pytest node ids; each must fail on the mutant
     cli: tuple | None = None  # (CLI arguments, the exit code the mutant gives)
     note: str = ""
 
@@ -101,6 +102,15 @@ MUTANTS = (
         note="the classical operator, f sampled at every lattice point but the one on xi: "
              "14 Tier-1 tests fail, while lemmas, direct and inverse still exit 0 at xi 0.5 "
              "and 0.47",
+    ),
+    Mutant(
+        id="no-exclusion-clause",
+        file="bernsing/moduli.py",
+        old="& (np.abs(x - xi) > _EXCLUSION_RADIUS)",
+        new="",
+        tests=("tests/test_moduli.py::TestSecondDifference::test_inadmissible_tube",),
+        note="a stencil may be centred on xi; every CLI command at xi 0.5 and 0.47 "
+             "prints the same bytes, as refined_grid already drops the tube",
     ),
     Mutant(
         id="band-exponent-10",
@@ -208,13 +218,17 @@ def check(m: Mutant) -> list:
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         (src / m.file).write_text(text.replace(m.old, m.new))
         if m.tests:
-            run = _run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                        *m.tests], src)
+            run = _run([sys.executable, "-m", "pytest", "-q", "-rf", "--tb=no",
+                        "-p", "no:cacheprovider", *m.tests], src)
             # 1: a test failed.  0 passes the mutant; 2 to 5 are errors,
             # such as a test id that no longer exists
             if run.returncode != 1:
                 tail = "\n".join(run.stdout.splitlines()[-15:])
                 errors.append(f"pytest exited {run.returncode}, not 1:\n{tail}")
+            failed = [line.split()[1] for line in run.stdout.splitlines()
+                      if line.startswith("FAILED ")]
+            errors += [f"{test} passes on the mutant" for test in m.tests
+                       if not any(f == test or f.startswith(test + "[") for f in failed)]
         if m.cli:
             args, code = m.cli
             got = _cli(args, src)

@@ -307,7 +307,7 @@ def per_step_modulus_curve(f, params, sw, cfg, ladder=_ladder):
     for t in cfg.t_values:
         for h in ladder(t, cfg.h_steps):
             off = h * step_weight(sw, x)
-            ok = _admissible(x, off, params.xi, cfg.x_grid.exclusion_radius)
+            ok = _admissible(x, off, params.xi)
             if ok.any():
                 xa, oa = x[ok], off[ok]
                 m = float(np.max(wbar(params, xa) * np.abs(

@@ -503,7 +503,7 @@ class TestDumpOperator:
         op = build_operator(corpus("quadratic", params), 64, params)
         k, t, s = lines[17].split(",")
         assert int(k) == 16
-        assert float(s) == op.fbar_samples[16]
+        assert float(s) == op[16]
 
 
 class TestImports:
@@ -524,3 +524,17 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
         assert done.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "False"]
+
+
+class TestLibraryExample:
+    def test_readme_example_runs(self):
+        # the python block under "## Library example", in a fresh
+        # interpreter on the tree the suite imported
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Library example\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        env = dict(os.environ, PYTHONPATH=str(Path(bernsing.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        values = [float(v) for v in done.stdout.replace("[", " ").replace("]", " ").split()]
+        assert len(values) == 9 and all(map(np.isfinite, values)), done.stdout

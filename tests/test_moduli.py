@@ -37,7 +37,7 @@ def _cfg(grid, ts=T_LADDER, h_steps=16):
 def _point(x):
     """A one-abscissa grid: the curve is then the largest weighted
     second difference at x over the ladders."""
-    return EvalGrid(points=np.array([x]), exclusion_radius=1e-12)
+    return EvalGrid(points=np.array([x]))
 
 
 class TestSecondDifference:
@@ -69,16 +69,16 @@ class TestSecondDifference:
         assert curve[0] == pytest.approx(wbar(params, x) * direct, rel=1e-13)
 
     def test_inadmissible_outside(self):
-        assert _admissible(0.3, 0.25, 0.9, 0.0)
-        assert not _admissible(0.95, 0.25, 0.5, 0.0)
-        assert not _admissible(0.05, 0.25, 0.5, 0.0)
+        assert _admissible(0.3, 0.25, 0.9)
+        assert not _admissible(0.95, 0.25, 0.5)
+        assert not _admissible(0.05, 0.25, 0.5)
 
     def test_inadmissible_tube(self):
         # translate lands exactly on the singularity
-        assert not _admissible(0.4, 0.1, 0.5, 1e-12)
-        assert _admissible(0.4, 0.1, 0.6, 1e-12)
+        assert not _admissible(0.4, 0.1, 0.5)
+        assert _admissible(0.4, 0.1, 0.6)
         # x itself inside the exclusion tube
-        assert not _admissible(0.5, 0.1, 0.5, 1e-12)
+        assert not _admissible(0.5, 0.1, 0.5)
 
 
 class TestWeightedModulus:
@@ -148,7 +148,7 @@ class TestWeightedModulus:
     def test_degenerate_when_nothing_admissible(self, params):
         # a lone point next to 1 with a flat step weight: every stencil
         # leaves [0,1]
-        g = EvalGrid(points=np.array([1.0 - 1e-8]), exclusion_radius=1e-12)
+        g = EvalGrid(points=np.array([1.0 - 1e-8]))
         f = corpus("quadratic", params)
         cfg = ModulusConfig(x_grid=g, t_values=(0.0625, 0.125), h_steps=8)
         with pytest.raises(Degenerate, match="t=0.0625"):
@@ -210,7 +210,7 @@ class TestDriverOracle:
         assert np.array_equal(got, per_step_modulus_curve(f, params, sw, cfg))
 
     def test_degenerate_as_the_per_step_driver(self, params):
-        g = EvalGrid(points=np.array([1.0 - 1e-8]), exclusion_radius=1e-12)
+        g = EvalGrid(points=np.array([1.0 - 1e-8]))
         f, sw = corpus("quadratic", params), StepWeight(0.0, 0.0)
         cfg = ModulusConfig(x_grid=g, t_values=(0.0625, 0.125), h_steps=8)
         messages = []

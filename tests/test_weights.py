@@ -16,6 +16,7 @@ from bernsing import (
     wbar,
     weighted_sup_norm,
 )
+from bernsing.weights import _EXCLUSION_RADIUS
 
 
 class TestWeightParams:
@@ -130,10 +131,12 @@ class TestGrid:
         p = grid.points
         assert p[0] == 0.0 and p[-1] == 1.0
         assert (np.diff(p) > 0).all()
-        assert (np.abs(p - params.xi) > grid.exclusion_radius).all()
+        assert (np.abs(p - params.xi) > _EXCLUSION_RADIUS).all()
         # clusters reach down to 1e-10 of the three anchors
         assert np.min(np.abs(p - params.xi)) < 1e-9
         assert p[1] < 1e-9 and 1.0 - p[-2] < 1e-9
+        with pytest.raises(ValueError):
+            p[0] = 0.5
 
     def test_density_control(self, params):
         g = refined_grid(params, uniform=129, cluster=0)
