@@ -15,7 +15,9 @@ entry is the full-width value inside its row's band and 0.0 outside it:
 rows take R = 750, where float64 ``exp`` returns exactly 0.0 for every
 entry left out, and the lemma sweep R = 60 (see checks._SWEEP_EXPONENT).
 A block is assembled once, between the lowest band start and the
-highest band end of its rows, on the calling thread; an entry goes
+highest band end of its rows, on the calling thread, its exponent in a
+small C kernel (_exponent.c) where the system cc can build one and in
+numpy otherwise, to the same bits; an entry goes
 through the same operations whichever rows share the call, so no bit
 depends on how a caller groups its rows.
 
@@ -138,6 +140,73 @@ def _bands(n: int, x: np.ndarray, exponent: float) -> tuple[np.ndarray, np.ndarr
     return lo.astype(int), hi.astype(int)
 
 
+_kernel = None  # _exponent_kernel's answer once it has looked
+
+
+def _exponent_kernel():
+    """The compiled exponent kernel of _blocks (_exponent.c), or False.
+
+    On the first call it is loaded from the user's cache
+    ($XDG_CACHE_HOME/bernsing, else ~/.cache/bernsing), where a library
+    is named by a hash of the source and the platform; a missing one is
+    first built there with the system cc, its output captured, and moved
+    into place whole.  Without a compiler, a writable cache, a longdouble
+    the size of C's long double or a library that loads, every call
+    returns False: nothing is tried again and nothing is printed."""
+    global _kernel
+    if _kernel is None:
+        _kernel = _build_kernel() or False
+    return _kernel
+
+
+def _build_kernel():
+    # numpy has imported all of these but subprocess, which only a build
+    # needs; hashlib would map OpenSSL, 3.7 MiB of peak RSS
+    import ctypes
+    import os
+    import platform
+    import shutil
+    import sys
+    import tempfile
+    import zlib
+
+    if ctypes.sizeof(ctypes.c_longdouble) != np.dtype(_LD).itemsize:
+        return None
+    source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_exponent.c")
+    cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"),
+                         "bernsing")
+    try:
+        with open(source, "rb") as fh:
+            key = fh.read() + f"\0{sys.platform}\0{platform.machine()}".encode()
+        lib = os.path.join(cache, f"_exponent-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so")
+        if not os.path.exists(lib):
+            cc = shutil.which("cc")
+            if cc is None:
+                return None
+            import subprocess
+
+            os.makedirs(cache, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                done = subprocess.run([cc, "-O2", "-shared", "-fPIC", "-ffp-contract=off",
+                                       "-o", tmp, source], stdin=subprocess.DEVNULL,
+                                      capture_output=True)
+                if done.returncode != 0:
+                    return None
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        kernel = ctypes.CDLL(lib).bernsing_exponent
+    except OSError:
+        return None
+    ptr, i64 = ctypes.c_void_p, ctypes.c_longlong
+    kernel.argtypes = [ptr, ptr, i64, ptr, i64, i64, i64, ptr, i64]
+    kernel.restype = None
+    return kernel
+
+
 def _blocks(n: int, x: np.ndarray, exponent: float, out: np.ndarray) -> np.ndarray:
     """Fill out[:x.size] with block[i, k] = p_{n,k}(x[i]) for k = 0..n
     inside the row's band at the exponent (_bands) and 0.0 outside it,
@@ -154,29 +223,44 @@ def _blocks(n: int, x: np.ndarray, exponent: float, out: np.ndarray) -> np.ndarr
     after exp every entry outside its own row's band is set to 0.0, so no
     bit depends on which rows share a call.  At _ROW_EXPONENT that is the
     full-width block itself.
+
+    The exponent ln C(n, k) + k ln x + (n - k) ln(1 - x) is assembled in
+    longdouble and rounded to float64 in one pass of the compiled kernel
+    (_exponent_kernel), or where none could be built in four numpy passes
+    and a cast: the same operations in the same order, so both give the
+    same bits.  The logarithms, the log-binomials, exp, the band zeroing
+    and the endpoint rows stay in numpy on either path; numpy's SIMD exp
+    need not round as libm's does.
     """
     # each row's band as the columns j0 .. j1 - 1
     j0, j1 = _bands(n, x, exponent)
     j1 += 1
     c0, e0, e1, c1 = int(j0.min()), int(j0.max()), int(j1.min()), int(j1.max())
     cols = np.arange(c0, c1)
-    k = cols.astype(_LD)
     o = out[: x.size]
     o[:, :c0] = o[:, c1:] = 0.0
     v = o[:, c0:c1]
     xl = x.astype(_LD)
+    kernel = _exponent_kernel()
     # log 0 and 0 * -inf at x = 0 and 1 (fixed below), and exp
     # underflow to 0.0 near the band edges, as it may
     with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        # the exponent in four longdouble passes, in two contiguous
-        # buffers (strided views cost numpy a cast buffer), then the cast
-        # and exp
-        er, tr = np.empty((2, *v.shape), _LD)
-        np.multiply(np.log(xl)[:, None], k, out=er)
-        np.add(_log_binom(n, cols), er, out=er)
-        np.multiply(np.log1p(-xl)[:, None], n - k, out=tr)
-        np.add(er, tr, out=er)
-        v[...] = er
+        lnx, ln1mx, lb = np.log(xl), np.log1p(-xl), _log_binom(n, cols)
+        if kernel and o.dtype == float and o.strides[1] == 8 and o.strides[0] % 8 == 0:
+            # the exponent and its cast in one compiled pass (_exponent.c)
+            kernel(lnx.ctypes.data, ln1mx.ctypes.data, x.size, lb.ctypes.data,
+                   c0, c1 - c0, n, v.ctypes.data, o.strides[0] // o.itemsize)
+        else:
+            # the same exponent in four longdouble passes, in two
+            # contiguous buffers (strided views cost numpy a cast buffer),
+            # then the cast
+            k = cols.astype(_LD)
+            er, tr = np.empty((2, *v.shape), _LD)
+            np.multiply(lnx[:, None], k, out=er)
+            np.add(lb, er, out=er)
+            np.multiply(ln1mx[:, None], n - k, out=tr)
+            np.add(er, tr, out=er)
+            v[...] = er
         np.exp(v, out=v)
         # then 0.0 outside each row's own band: only the columns before
         # the last band start and from the first band end on

@@ -263,13 +263,15 @@ def _basis_lemmas(cfg, grid, f) -> dict:
     For each n the basis block over all indices 0..n is built chunk by
     chunk of about _BLOCK_VALUES values, rows c..e of the grid, each row
     on its band at _SWEEP_EXPONENT, into one buffer sized for the largest
-    degree.  Lemmas 2 and 5 write every row, lemmas 1, 4 and 6 the rows
-    in [i0, i1), the grid points in [0.1, 0.9].  The values go into one
-    table, a row per label and a column per abscissa, filled with -inf
-    per degree, and each label's max is taken once per degree.  Every
-    lemma sums each block row on its own with np.vecdot, as a 1-d np.dot
-    does; a matrix product would sum in another order and move the trend
-    statistic of ratios that equal 1 to rounding (lemma 4, gamma = 2).
+    degree, and the chunk's |k - n x| and its powers into two more: no
+    chunk allocates an array of its size.  Lemmas 2 and 5 write every
+    row, lemmas 1, 4 and 6 the rows in [i0, i1), the grid points in
+    [0.1, 0.9].  The values go into one table, a row per label and a
+    column per abscissa, filled with -inf per degree, and each label's
+    max is taken once per degree.  Every lemma sums each block row on its
+    own with np.vecdot, as a 1-d np.dot does; a matrix product would sum
+    in another order and move the trend statistic of ratios that equal 1
+    to rounding (lemma 4, gamma = 2).
     """
     x = grid.points
     i0, i1 = int(np.searchsorted(x, 0.1)), int(np.searchsorted(x, 0.9, "right"))
@@ -294,11 +296,13 @@ def _basis_lemmas(cfg, grid, f) -> dict:
     best, table = np.empty((len(labels), len(cfg.n_values))), np.empty((len(labels), x.size))
     rows = [min(max(1, _BLOCK_VALUES // (n + 1)), x.size) for n in cfg.n_values]
     buf = np.empty(max(m * (n + 1) for n, m in zip(cfg.n_values, rows)))
+    dbuf, pbuf = np.empty((2, buf.size))  # lemma 4's and 6's |k - n x|^gamma
     for j, (n, m, fbar) in enumerate(zip(cfg.n_values, rows, samples)):
         weights = [_inverse_weights(n, u, v) for u, v in uvs]
         # lemma 1 sums the interior indices 1..n-1, lemmas 5 and 6 those
         # within sqrt(n) of n xi
         klo, khi = _window(n, cfg.params.xi)
+        k = np.arange(n + 1, dtype=float)
         table.fill(-math.inf)
         for c in range(0, x.size, m):
             e = min(c + m, x.size)
@@ -312,16 +316,21 @@ def _basis_lemmas(cfg, grid, f) -> dict:
             for t in range(3):
                 table[t, lo:hi] = np.vecdot(inner[:, 1:n], weights[t]) / inv_den[t][r]
             # lemma 4 over 0..n and lemma 6 near xi from one table d = |k - n x|
-            d = np.arange(n + 1, dtype=float) - n * xs[r, None]
+            d = dbuf[: (hi - lo) * (n + 1)].reshape(hi - lo, n + 1)
+            np.subtract(k, n * xs[r, None], out=d)
             np.abs(d, out=d)
             for t, g in enumerate(gammas):
-                # d ** 1.0 is a copy of d, with the same bits
-                p = d if g == 1.0 else d ** g
+                # d ** g with its bits, in place: ndarray ** takes 2.0 as
+                # a square, and d ** 1.0 is a copy of d
+                p = d if g == 1.0 else pbuf[: d.size].reshape(d.shape)
+                if g == 2.0:
+                    np.square(d, out=p)
+                elif g != 1.0:
+                    np.power(d, g, out=p)
                 table[4 + t, lo:hi] = np.vecdot(inner, p) / (n ** (g / 2) * den[g][r])
                 if g in betas:
                     sb = np.vecdot(inner[:, klo : khi + 1], p[:, klo : khi + 1])
                     table[7 + t, lo:hi] = wb[lo:hi] * sb / (n ** ((g - a) / 2) * den[g][r])
-            del d, p  # not held through the next chunk's _blocks
         table.max(axis=1, out=best[:, j])
     seqs = {}
     for (name, label), seq in zip(labels, best.tolist()):

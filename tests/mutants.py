@@ -137,6 +137,17 @@ MUTANTS = (
         note="every CLI command at xi 0.5 and 0.47 still exits 0",
     ),
     Mutant(
+        id="kernel-lnx-double",
+        file="bernsing/_exponent.c",
+        old="o[j] = (double)(((lnx[i] * k) + lb[j])",
+        new="o[j] = (double)((((double)lnx[i] * k) + lb[j])",
+        tests=("tests/test_basis.py::TestExponentKernel::test_bits_of_the_numpy_passes",
+               "tests/test_cli.py::TestDeterminism::test_lemmas_match_reference"),
+        note="the exponent kernel rounds ln x to double; caught where cc builds "
+             "the kernel.  Every CLI command at xi 0.5 and 0.47 still exits 0, and "
+             "lemmas prints other constants (lemma 4 gamma=2 reads tau=1.00 for -0.40)",
+    ),
+    Mutant(
         id="table-reset-per-chunk",
         file="bernsing/harness/checks.py",
         old="        table.fill(-math.inf)\n        for c in range(0, x.size, m):\n",

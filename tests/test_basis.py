@@ -2,6 +2,7 @@ import ctypes
 import glob
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -502,6 +503,102 @@ class TestSweepBands:
         tail = self._outside(n, x, lambda k: abs(k - c) ** 3)
         full = np.dot(basis_row(n, x), np.abs(np.arange(n + 1) - n * x) ** 3)
         assert tail <= 1e-24 * full, (tail, full)
+
+
+class TestExponentKernel:
+    # _blocks assembles its exponent in a kernel compiled from
+    # _exponent.c where the system cc builds one, and in four numpy
+    # longdouble passes otherwise; the two must give the same bits.
+    XS = np.array([0.0, 1e-300, 1e-10, 0.37, 0.5, 1 - 1e-10, 1.0])
+
+    @staticmethod
+    def _fresh(monkeypatch, tmp_path, path=None):
+        """Forget the kernel and look in an empty cache, optionally with
+        another PATH; returns the cache directory."""
+        monkeypatch.setattr(basis, "_kernel", None)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        if path is not None:
+            monkeypatch.setenv("PATH", str(path))
+        return tmp_path / "cache" / "bernsing"
+
+    @pytest.mark.parametrize("exponent", [_SWEEP_EXPONENT, _ROW_EXPONENT])
+    @pytest.mark.parametrize("n", [1, 2, 64, 1024, 2**16])
+    def test_bits_of_the_numpy_passes(self, n, exponent, monkeypatch):
+        if not basis._exponent_kernel():
+            pytest.skip("no exponent kernel (see test_active_wherever_cc_is_on_path)")
+        got = _block(n, self.XS, exponent)
+        monkeypatch.setattr(basis, "_kernel", False)
+        want = _block(n, self.XS, exponent)
+        assert (got.view(np.int64) == want.view(np.int64)).all()
+
+    def test_active_wherever_cc_is_on_path(self, monkeypatch, tmp_path, capfd):
+        # built silently into an empty cache; a fresh process then loads it
+        # without starting the compiler, and importing the CLI builds nothing
+        if shutil.which("cc") is None:
+            pytest.skip("no cc on PATH")
+        assert basis._exponent_kernel()
+        cache = self._fresh(monkeypatch, tmp_path)
+        assert basis._exponent_kernel()
+        assert capfd.readouterr() == ("", "")
+        assert [p.suffix for p in cache.iterdir()] == [".so"]
+        env = dict(os.environ, PYTHONPATH=str(Path(bernsing.__file__).resolve().parents[1]))
+        for cache_home, use, loaded in (
+                (tmp_path / "cold", "import bernsing.harness.cli", False),
+                (tmp_path / "cache", "basis._exponent_kernel()", True)):
+            cache_home.mkdir(exist_ok=True)
+            code = (f"import os, sys\nfrom bernsing import basis\n{use}\n"
+                    f"print(bool(basis._kernel), 'subprocess' in sys.modules, "
+                    f"sorted(f for _, _, fs in os.walk(sys.argv[1]) for f in fs))\n")
+            files = sorted(f.name for f in cache_home.rglob("*.so"))
+            done = subprocess.run([sys.executable, "-c", code, str(cache_home)],
+                                  env=dict(env, XDG_CACHE_HOME=str(cache_home)),
+                                  capture_output=True, text=True, timeout=60, check=True)
+            assert (done.stdout, done.stderr) == (f"{loaded} False {files}\n", "")
+
+    def _falls_back(self, monkeypatch, capfd):
+        """_blocks gives the full-width bits on each band, prints nothing,
+        and looks for the kernel once."""
+        tries = []
+
+        def build(_build=basis._build_kernel):
+            tries.append(1)
+            return _build()
+
+        monkeypatch.setattr(basis, "_build_kernel", build)
+        for n in (64, 1024):
+            got = _block(n, self.XS, _SWEEP_EXPONENT)
+            assert basis._kernel is False
+            lo, hi = _bands(n, self.XS, _SWEEP_EXPONENT)
+            k = np.arange(n + 1)
+            inside = (k >= lo[:, None]) & (k <= hi[:, None])
+            want = np.where(inside, full_width_block(n, self.XS, 0, n), 0.0)
+            assert (got.view(np.int64) == want.view(np.int64)).all()
+        assert tries == [1]
+        assert capfd.readouterr() == ("", "")
+
+    def test_no_compiler(self, monkeypatch, tmp_path, capfd):
+        (tmp_path / "bin").mkdir()
+        cache = self._fresh(monkeypatch, tmp_path, tmp_path / "bin")
+        self._falls_back(monkeypatch, capfd)
+        assert not cache.exists()
+
+    def test_compiler_fails(self, monkeypatch, tmp_path, capfd):
+        # its output goes nowhere, and it leaves no file in the cache
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        (bin_dir / "cc").write_text("#!/bin/sh\necho out\necho err >&2\nexit 1\n")
+        (bin_dir / "cc").chmod(0o755)
+        cache = self._fresh(monkeypatch, tmp_path, bin_dir)
+        self._falls_back(monkeypatch, capfd)
+        assert list(cache.iterdir()) == []
+
+    def test_library_fails_to_load(self, monkeypatch, tmp_path, capfd):
+        def refuse(*args, **kwargs):
+            raise OSError("cannot load")
+
+        self._fresh(monkeypatch, tmp_path)
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        self._falls_back(monkeypatch, capfd)
 
 
 @pytest.fixture

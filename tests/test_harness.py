@@ -424,8 +424,9 @@ class TestLemmaSuiteOneSweep:
 
     def test_peak_memory_is_one_block_buffer(self, params, sw):
         # the default sweep writes every degree's chunks into one buffer
-        # of _BLOCK_VALUES float64 values (256 KiB): measured peak 2.2 MiB
-        # with the grid, the tables and a chunk's longdouble buffers.
+        # of _BLOCK_VALUES float64 values (256 KiB), and |k - n x| and its
+        # powers into two more: measured peak 1.6 MiB with the grid and the
+        # tables, 2.7 MiB with the longdouble buffers of the numpy exponent.
         # Chunks of 10^6 values peak at 9.5 MiB, and a buffer per degree
         # or per chunk is still alive when the next one is allocated
         tracemalloc.start()
